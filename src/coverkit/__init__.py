@@ -3,7 +3,7 @@ coverage: split/full conformal, jackknife+, cv+, PAC bound calculators,
 coverage-collapse counterexamples, and a reproducible simulation harness.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .adversary import (
     EventReport,
@@ -18,7 +18,6 @@ from .adversary import (
 from .bounds import (
     INFEASIBLE,
     AdversarialFloor,
-    BoundQuery,
     adversarial_floor,
     corrected_alpha_split,
     cvplus_pac_bound,
@@ -42,7 +41,6 @@ from .conformal import (
 )
 from .core import (
     OVERFLOW,
-    DataPoint,
     Dataset,
     FittedModel,
     FoldPartition,
@@ -52,13 +50,13 @@ from .core import (
     kth_smallest,
     make_folds,
     order_stat_index,
+    plus_bounds,
 )
 from .experiments import (
     ExperimentConfig,
     MethodSummary,
     SummaryReport,
     TrialRecord,
-    estimate_miscoverage,
     generate_linear_gaussian,
     run_trials,
     summarize,

@@ -23,7 +23,7 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .core import OVERFLOW, Dataset, derive_rng, order_stat_index
+from .core import OVERFLOW, Dataset, derive_rng, order_stat_index, plus_bounds
 from .regressors import ClockConfig
 
 __all__ = [
@@ -161,21 +161,14 @@ def adversary_jackknife_bounds(
     M, M1, y_star = config.M, config.M1, config.y_star
     cells = np.asarray(config.cell_map(train.x), dtype=np.int32)
     probe_cells = np.asarray(config.cell_map(np.atleast_2d(probes)), dtype=np.int32)
-    n = len(train)
-    m = probe_cells.size
-    if n < 2:
+    if len(train) < 2:
         raise ValueError("jackknife+ needs at least 2 training points")
-    k = order_stat_index(n, alpha)
-    if k is OVERFLOW:
-        return np.full(m, -np.inf), np.full(m, np.inf)
     total = int(cells.sum())
     own_low = total % M < M1  # mu_{-i}(x_i) = 0 for every i iff this holds
     residuals = np.abs(train.y - (0.0 if own_low else 2.0 * y_star))
     in_window = np.mod(probe_cells[:, None] + total - cells[None, :], M) < M1
     mu_probe = np.where(in_window, 0.0, 2.0 * y_star)
-    lower = np.partition(mu_probe - residuals[None, :], n - k, axis=1)[:, n - k]
-    upper = np.partition(mu_probe + residuals[None, :], k - 1, axis=1)[:, k - 1]
-    return lower, upper
+    return plus_bounds(mu_probe, residuals, alpha)
 
 
 def collapse_check(

@@ -12,10 +12,11 @@ import math
 import warnings
 from dataclasses import dataclass
 
+from .core import _Sentinel
+
 __all__ = [
     "INFEASIBLE",
     "AdversarialFloor",
-    "BoundQuery",
     "split_pac_bound",
     "cvplus_pac_bound",
     "adversarial_floor",
@@ -23,25 +24,9 @@ __all__ = [
 ]
 
 
-class _InfeasibleType:
-    """Sentinel: the requested correction would push the level below zero."""
-
-    _instance = None
-    __slots__ = ()
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "INFEASIBLE"
-
-    def __bool__(self) -> bool:
-        return False
-
-
-INFEASIBLE = _InfeasibleType()
+#: Returned by :func:`corrected_alpha_split` when the requested correction
+#: would push the level to zero or below.
+INFEASIBLE = _Sentinel(__name__, "INFEASIBLE")
 
 
 def _check_level(name: str, value: float) -> None:
@@ -125,49 +110,3 @@ def corrected_alpha_split(alpha: float, delta: float, n1: int):
     if corrected <= 0.0:
         return INFEASIBLE
     return corrected
-
-
-@dataclass(frozen=True)
-class BoundQuery:
-    """Bundled parameters for the bound calculators.
-
-    Only the sizes a given bound actually needs must be present; asking for
-    a bound without them raises. Convenient for table-style reporting where
-    one parameter set feeds several formulas.
-    """
-
-    alpha: float
-    delta: float | None = None
-    n: int | None = None
-    n0: int | None = None
-    n1: int | None = None
-    K: int | None = None
-    m: int | None = None
-
-    def __post_init__(self):
-        _check_level("alpha", self.alpha)
-        for name in ("n", "n0", "n1", "K", "m"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be positive, got {value}")
-
-    def _need(self, *names):
-        missing = [n for n in names if getattr(self, n) is None]
-        if missing:
-            raise ValueError(f"this bound needs {missing} to be set")
-
-    def split_bound(self) -> float:
-        self._need("delta", "n1")
-        return split_pac_bound(self.alpha, self.delta, self.n1)
-
-    def cvplus_bound(self) -> float:
-        self._need("delta", "K", "m")
-        return cvplus_pac_bound(self.alpha, self.delta, self.K, self.m)
-
-    def floor(self) -> AdversarialFloor:
-        self._need("n")
-        return adversarial_floor(self.alpha, self.n)
-
-    def corrected_split(self):
-        self._need("delta", "n1")
-        return corrected_alpha_split(self.alpha, self.delta, self.n1)

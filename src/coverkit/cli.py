@@ -7,23 +7,35 @@ Three subcommands::
     coverkit bounds     closed-form bound queries -> table or JSON
 
 Exit codes are a stable contract for scripting: 0 success, 2 invalid usage
-or configuration, 3 I/O failure. File-producing commands write a run
-manifest first; re-running from a manifest reproduces the data files
-byte-for-byte. Partial outputs are removed when a run fails.
+or configuration, 3 I/O or worker-process failure. File-producing commands
+write a run manifest first; re-running from a manifest reproduces the data
+files byte-for-byte. A run writes into a staging directory inside the
+output directory and moves its files into place only when it succeeds, so
+a failed run leaves the files of an earlier run untouched.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
+import shutil
 import sys
+import tempfile
 import time
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
 from . import __version__
-from .bounds import INFEASIBLE, BoundQuery, adversarial_floor
+from .bounds import (
+    INFEASIBLE,
+    adversarial_floor,
+    corrected_alpha_split,
+    cvplus_pac_bound,
+    split_pac_bound,
+)
 from .experiments import (
     ADVERSARY_FULL,
     ADVERSARY_JK,
@@ -202,37 +214,27 @@ def _experiment_config(resolved: dict, d: int) -> ExperimentConfig:
         raise ConfigError(str(exc)) from exc
 
 
-class _OutputTracker:
-    """Atomic writes with rollback of everything written in this run."""
+_MANIFEST = "manifest.json"
 
-    def __init__(self, out_dir: str):
-        if not os.path.isdir(out_dir):
-            raise OSError(f"output directory does not exist: {out_dir}")
-        self.out_dir = out_dir
-        self.written: list[str] = []
 
-    def path(self, name: str) -> str:
-        return os.path.join(self.out_dir, name)
+@contextlib.contextmanager
+def _staged_outputs(out_dir: str):
+    """Yield a fresh staging directory inside ``out_dir`` for a run's files.
 
-    def write(self, name: str, writer) -> str:
-        final = self.path(name)
-        tmp = f"{final}.tmp-{os.getpid()}"
-        try:
-            writer(tmp)
-            os.replace(tmp, final)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-        if final not in self.written:
-            self.written.append(final)
-        return final
-
-    def rollback(self) -> None:
-        for path in self.written:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
+    When the block succeeds, each staged file replaces its namesake in
+    ``out_dir``, the manifest last; whatever happens, the staging
+    directory is then removed, so a failed run changes nothing in
+    ``out_dir``.
+    """
+    if not os.path.isdir(out_dir):
+        raise OSError(f"output directory does not exist: {out_dir}")
+    staging = tempfile.mkdtemp(prefix=".coverkit-staging-", dir=out_dir)
+    try:
+        yield staging
+        for name in sorted(os.listdir(staging), key=lambda name: name == _MANIFEST):
+            os.replace(os.path.join(staging, name), os.path.join(out_dir, name))
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
 
 
 def _write_json(payload: dict, path: str) -> None:
@@ -245,9 +247,12 @@ def _write_json(payload: dict, path: str) -> None:
 class RunManifest:
     """Everything needed to re-run a file-producing command bit-identically.
 
-    Written (atomically) before any data file, then rewritten with the end
-    timestamp once the run succeeds; `finished: null` therefore marks an
-    interrupted run. `simulate --from-manifest` replays the stored config.
+    Written to the run's staging directory before any data file, then
+    rewritten with the end timestamp once the run succeeds, and moved into
+    the output directory after the data files. A hard-killed run therefore
+    leaves a `finished: null` manifest inside a `.coverkit-staging-*`
+    directory of the output directory, never beside the data files.
+    `simulate --from-manifest` replays the stored config.
     """
 
     command: str
@@ -287,7 +292,6 @@ def _cmd_simulate(args) -> int:
     dims = resolved["dims"]
     configs = [_experiment_config(resolved, d) for d in dims]
 
-    out = _OutputTracker(args.out_dir)
     outputs = {
         "trials_csv": "trials.csv",
         "summary_csv": "summary.csv",
@@ -296,22 +300,19 @@ def _cmd_simulate(args) -> int:
     started = _now()
     manifest = _manifest("simulate", resolved, outputs, started)
     t0 = time.monotonic()
-    try:
-        out.write("manifest.json", manifest.write)
+    with _staged_outputs(args.out_dir) as staging:
+        manifest.write(os.path.join(staging, _MANIFEST))
 
         records = []
         for config in configs:
             records.extend(run_trials(config, workers=args.workers))
         report = summarize(records)
 
-        out.write(outputs["trials_csv"], lambda p: write_trials_csv(records, p))
-        out.write(outputs["summary_csv"], lambda p: write_summary_csv(report, p))
-        out.write(outputs["summary_json"], lambda p: write_summary_json(report, p))
+        write_trials_csv(records, os.path.join(staging, outputs["trials_csv"]))
+        write_summary_csv(report, os.path.join(staging, outputs["summary_csv"]))
+        write_summary_json(report, os.path.join(staging, outputs["summary_json"]))
         manifest.finished = _now()
-        out.write("manifest.json", manifest.write)
-    except BaseException:
-        out.rollback()
-        raise
+        manifest.write(os.path.join(staging, _MANIFEST))
 
     elapsed = time.monotonic() - t0
     print(f"simulate: {len(records)} records over {sum(c.trials for c in configs)} "
@@ -321,7 +322,7 @@ def _cmd_simulate(args) -> int:
             f"  {s.method:<11} d={s.d:<5} mean={s.mean:.4f} median={s.median:.4f} "
             f"max={s.max:.4f} P(>alpha)={s.frac_gt_alpha:.3f}"
         )
-    print(f"outputs written to {out.out_dir}")
+    print(f"outputs written to {args.out_dir}")
     return _EXIT_OK
 
 
@@ -348,18 +349,14 @@ def _cmd_adversary(args) -> int:
             file=sys.stderr,
         )
 
-    out = _OutputTracker(args.out_dir)
     outputs = {"trials_csv": "adversary_trials.csv"}
     manifest = _manifest("adversary", resolved, outputs, _now())
-    try:
-        out.write("manifest.json", manifest.write)
+    with _staged_outputs(args.out_dir) as staging:
+        manifest.write(os.path.join(staging, _MANIFEST))
         records = run_trials(config, workers=args.workers)
-        out.write(outputs["trials_csv"], lambda p: write_trials_csv(records, p))
+        write_trials_csv(records, os.path.join(staging, outputs["trials_csv"]))
         manifest.finished = _now()
-        out.write("manifest.json", manifest.write)
-    except BaseException:
-        out.rollback()
-        raise
+        manifest.write(os.path.join(staging, _MANIFEST))
 
     collapse_frac = sum(r.alpha_hat >= 0.99 for r in records) / len(records)
     event_frac = sum(r.events.all_three for r in records) / len(records)
@@ -375,51 +372,43 @@ def _cmd_adversary(args) -> int:
     return _EXIT_OK
 
 
+# --option: (row name, size parameters, bound function, result -> (value, flag))
+_BOUNDS = {
+    "split": (
+        "split_pac", ("delta", "n1"), split_pac_bound,
+        lambda v: (v, _upper_bound_flag(v)),
+    ),
+    "cvplus": (
+        "cvplus_pac", ("delta", "K", "m"), cvplus_pac_bound,
+        lambda v: (v, _upper_bound_flag(v)),
+    ),
+    "floor": (
+        "adversarial_floor", ("n",), adversarial_floor,
+        lambda f: (f.value, "VACUOUS" if f.vacuous else ""),
+    ),
+    "corrected": (
+        "corrected_alpha_split", ("delta", "n1"), corrected_alpha_split,
+        lambda c: (None, "INFEASIBLE") if c is INFEASIBLE else (c, ""),
+    ),
+}
+
+
 def _bound_rows(args) -> list[dict]:
     if args.alpha is None:
         raise ConfigError("bounds queries require --alpha")
-    try:
-        query = BoundQuery(
-            alpha=args.alpha, delta=args.delta, n=args.n, n1=args.n1,
-            K=args.K, m=args.m,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    def params(*names):
-        return {name: getattr(query, name) for name in ("alpha", *names)}
-
     rows = []
-    try:
-        if args.split:
-            value = query.split_bound()
-            rows.append({
-                "bound": "split_pac", "value": value,
-                "flag": _upper_bound_flag(value), "params": params("delta", "n1"),
-            })
-        if args.cvplus:
-            value = query.cvplus_bound()
-            rows.append({
-                "bound": "cvplus_pac", "value": value,
-                "flag": _upper_bound_flag(value), "params": params("delta", "K", "m"),
-            })
-        if args.floor:
-            floor = query.floor()
-            rows.append({
-                "bound": "adversarial_floor", "value": floor.value,
-                "flag": "VACUOUS" if floor.vacuous else "", "params": params("n"),
-            })
-        if args.corrected:
-            corrected = query.corrected_split()
-            infeasible = corrected is INFEASIBLE
-            rows.append({
-                "bound": "corrected_alpha_split",
-                "value": None if infeasible else corrected,
-                "flag": "INFEASIBLE" if infeasible else "",
-                "params": params("delta", "n1"),
-            })
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    for option, (bound, names, compute, value_and_flag) in _BOUNDS.items():
+        if not getattr(args, option):
+            continue
+        missing = [name for name in names if getattr(args, name) is None]
+        if missing:
+            raise ConfigError(f"this bound needs {missing} to be set")
+        params = {name: getattr(args, name) for name in ("alpha", *names)}
+        try:
+            value, flag = value_and_flag(compute(*params.values()))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        rows.append({"bound": bound, "value": value, "flag": flag, "params": params})
     if not rows:
         raise ConfigError(
             "select at least one of --split, --cvplus, --floor, --corrected"
@@ -525,6 +514,9 @@ def main(argv=None) -> int:
         return _EXIT_USAGE
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
+        return _EXIT_IO
+    except BrokenProcessPool as exc:
+        print(f"error: a worker process failed: {exc}", file=sys.stderr)
         return _EXIT_IO
 
 

@@ -31,6 +31,7 @@ from .core import (
     RegressionAlgorithm,
     kth_smallest,
     order_stat_index,
+    plus_bounds,
 )
 from .regressors import RidgeConfig, _ridge_coefficients
 
@@ -357,35 +358,6 @@ def full_conformal_ridge_exact(
     return _set_from_affine_residuals(a, b, a0, b0, k)
 
 
-def loo_models(
-    train: Dataset, algo: RegressionAlgorithm, seed: int | None = None
-) -> list[FittedModel]:
-    """The n leave-one-out fits, in index order."""
-    return [algo.fit(train.without(i), seed) for i in range(len(train))]
-
-
-def _plus_bounds(
-    mu_eval: np.ndarray, residuals: np.ndarray, alpha: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Shared endpoint computation for jackknife+ and cv+.
-
-    ``mu_eval[i, t]`` is the i-th deleted model's prediction at evaluation
-    point t. Lower endpoint per point: k-th largest of mu - R; upper: k-th
-    smallest of mu + R, with k = ceil((1-alpha)(n+1)). Overflow (k > n)
-    yields the whole line; a crossed pair (lower > upper) is passed through
-    for the caller to interpret as the empty set.
-    """
-    n, m = mu_eval.shape
-    k = order_stat_index(n, alpha)
-    if k is OVERFLOW:
-        return np.full(m, -np.inf), np.full(m, np.inf)
-    low_stack = mu_eval - residuals[:, None]
-    up_stack = mu_eval + residuals[:, None]
-    lower = np.partition(low_stack, n - k, axis=0)[n - k]
-    upper = np.partition(up_stack, k - 1, axis=0)[k - 1]
-    return lower, upper
-
-
 def jackknife_plus_bounds(
     train: Dataset,
     x_eval,
@@ -403,11 +375,11 @@ def jackknife_plus_bounds(
     if n < 2:
         raise ValueError("jackknife+ needs at least 2 training points")
     x_eval = np.atleast_2d(np.asarray(x_eval, dtype=float))
-    models = loo_models(train, algo, seed)
+    models = [algo.fit(train.without(i), seed) for i in range(n)]
     mu_eval = np.stack([np.asarray(m(x_eval)) for m in models])
     mu_own = np.array([float(models[i](train.x[i])) for i in range(n)])
     residuals = np.abs(train.y - mu_own)
-    return _plus_bounds(mu_eval, residuals, alpha)
+    return plus_bounds(mu_eval.T, residuals, alpha)
 
 
 def jackknife_plus(
@@ -450,7 +422,7 @@ def cv_plus_bounds(
         [float(fold_models[folds.assignments[i]](train.x[i])) for i in range(n)]
     )
     residuals = np.abs(train.y - mu_own)
-    return _plus_bounds(mu_eval, residuals, alpha)
+    return plus_bounds(mu_eval.T, residuals, alpha)
 
 
 def cv_plus(

@@ -11,15 +11,15 @@ concurrent workers; all operations are pure functions.
 
 from __future__ import annotations
 
+import importlib
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable
 
 import numpy as np
 
 __all__ = [
     "OVERFLOW",
-    "DataPoint",
     "Dataset",
     "FittedModel",
     "RegressionAlgorithm",
@@ -28,6 +28,7 @@ __all__ = [
     "order_stat_index",
     "kth_smallest",
     "kth_largest",
+    "plus_bounds",
     "make_folds",
 ]
 
@@ -36,44 +37,35 @@ __all__ = [
 _CEIL_EPS = 1e-9
 
 
-class _OverflowType:
-    """Sentinel: the requested order statistic exceeds the sample size."""
+class _Sentinel:
+    """A falsy named constant, bound to ``name`` in ``module``.
 
-    _instance = None
-    __slots__ = ()
+    Callers test it by identity, so a copy or an unpickled value resolves
+    to that module attribute rather than to a new instance.
+    """
 
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    __slots__ = ("_module", "_name")
+
+    def __init__(self, module: str, name: str):
+        self._module, self._name = module, name
 
     def __repr__(self) -> str:
-        return "OVERFLOW"
+        return self._name
 
     def __bool__(self) -> bool:
         return False
 
+    def __reduce__(self):
+        return _named_constant, (self._module, self._name)
+
+
+def _named_constant(module: str, name: str):
+    return getattr(importlib.import_module(module), name)
+
 
 #: Returned by :func:`order_stat_index` when ceil((1-alpha)(n+1)) > n.
 #: Callers interpret it as a +infinity quantile (full-line prediction set).
-OVERFLOW = _OverflowType()
-
-
-@dataclass(frozen=True)
-class DataPoint:
-    """A single (feature vector, label) observation."""
-
-    x: np.ndarray
-    y: float
-
-    def __post_init__(self):
-        x = np.atleast_1d(np.asarray(self.x, dtype=float))
-        if x.ndim != 1:
-            raise ValueError("feature vector must be one-dimensional")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", float(self.y))
-        if not math.isfinite(self.y):
-            raise ValueError("label must be finite")
+OVERFLOW = _Sentinel(__name__, "OVERFLOW")
 
 
 @dataclass(frozen=True)
@@ -103,18 +95,8 @@ class Dataset:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 
-    @classmethod
-    def from_points(cls, points: Sequence[DataPoint]) -> "Dataset":
-        if not points:
-            return cls(np.empty((0, 1)), np.empty(0))
-        return cls(np.stack([p.x for p in points]), np.array([p.y for p in points]))
-
     def __len__(self) -> int:
         return self.x.shape[0]
-
-    def __iter__(self) -> Iterator[DataPoint]:
-        for i in range(len(self)):
-            yield DataPoint(self.x[i], self.y[i])
 
     @property
     def d(self) -> int:
@@ -311,9 +293,6 @@ class FoldPartition:
     def n(self) -> int:
         return self.assignments.shape[0]
 
-    def fold_of(self, i: int) -> int:
-        return int(self.assignments[i])
-
     def fold_indices(self, k: int) -> np.ndarray:
         return np.flatnonzero(self.assignments == k)
 
@@ -350,6 +329,27 @@ def kth_largest(values, k: int) -> float:
     if not 1 <= k <= v.size:
         raise ValueError(f"k={k} out of range for {v.size} values")
     return float(np.partition(v, v.size - k)[v.size - k])
+
+
+def plus_bounds(
+    mu: np.ndarray, residuals: np.ndarray, alpha: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Jackknife+ / cv+ endpoints at a batch of evaluation points.
+
+    ``mu[t, i]`` is the prediction at evaluation point t of the model that
+    did not see training point i, and ``residuals[i]`` that model's
+    absolute residual at point i. With k = ceil((1-alpha)(n+1)), the lower
+    endpoint is the k-th largest of mu[t] - R and the upper the k-th
+    smallest of mu[t] + R. Overflow (k > n) gives the whole line, (-inf,
+    inf); a crossed pair (lower > upper) is the empty set.
+    """
+    m, n = mu.shape
+    k = order_stat_index(n, alpha)
+    if k is OVERFLOW:
+        return np.full(m, -np.inf), np.full(m, np.inf)
+    lower = np.partition(mu - residuals, n - k, axis=1)[:, n - k]
+    upper = np.partition(mu + residuals, k - 1, axis=1)[:, k - 1]
+    return lower, upper
 
 
 def make_folds(n: int, K: int, seed: int) -> FoldPartition:

@@ -25,7 +25,7 @@ import math
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg
@@ -39,14 +39,14 @@ from .adversary import (
     default_clock_sampler,
     gaussian_label_quantile,
 )
-from .conformal import GridSpec, SplitSpec, _set_from_affine_residuals
+from .conformal import SplitSpec, _set_from_affine_residuals
 from .core import (
     OVERFLOW,
     Dataset,
-    PredictionSet,
     derive_rng,
     make_folds,
     order_stat_index,
+    plus_bounds,
 )
 from .regressors import ClockConfig
 
@@ -64,7 +64,6 @@ __all__ = [
     "SummaryReport",
     "random_unit_vector",
     "generate_linear_gaussian",
-    "estimate_miscoverage",
     "run_trials",
     "adversary_training_set",
     "summarize",
@@ -99,10 +98,7 @@ class ExperimentConfig:
     methods: tuple[str, ...] = _ALL_METHODS
     ridge_penalty: float = 1e-4
     cv_folds: int = 20
-    grid: GridSpec | None = None
     clock_M: int | None = None
-    redraw_beta: bool = True
-    fixed_beta: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if min(self.n, self.n_test, self.d, self.trials) < 1:
@@ -126,14 +122,6 @@ class ExperimentConfig:
                     "the shared-kernel trial engine requires a positive ridge "
                     "penalty"
                 )
-            if self.grid is not None and METHOD_FULL in self.methods and self.n > 100:
-                raise ValueError(
-                    "grid-based full conformal refits once per grid point and "
-                    f"is rejected at n={self.n}; the exact ridge path (grid=None) "
-                    "computes the same set"
-                )
-            if self.fixed_beta is not None and len(self.fixed_beta) != self.d:
-                raise ValueError("fixed_beta must have length d")
         if self.clock_M is not None and self.clock_M < 2:
             raise ValueError("clock_M must be at least 2")
 
@@ -215,21 +203,18 @@ def generate_linear_gaussian(n: int, d: int, beta, seed: int) -> Dataset:
     return _draw_linear_gaussian(n, d, beta, np.random.default_rng(seed))
 
 
-def estimate_miscoverage(
-    set_builder: Callable[[np.ndarray], PredictionSet], test: Dataset
-) -> float:
-    """Fraction of test labels falling outside their prediction sets.
+def _score(
+    lower: np.ndarray, upper: np.ndarray, y: np.ndarray
+) -> tuple[float, float]:
+    """Miss rate and mean width of the intervals [lower, upper] at labels y.
 
-    The companion quantity to coverage: 0.0 when every set is the whole
-    line, 1.0 when every set is empty.
+    A crossed pair (lower > upper) is the empty set: it misses and has
+    width 0. Infinite endpoints give the whole line or a half-line.
     """
-    if len(test) == 0:
+    if y.size == 0:
         raise ValueError("test set must be nonempty")
-    missed = sum(
-        0 if float(test.y[i]) in set_builder(test.x[i]) else 1
-        for i in range(len(test))
-    )
-    return missed / len(test)
+    covered = (y >= lower) & (y <= upper)
+    return float(np.mean(~covered)), float(np.mean(np.maximum(upper - lower, 0.0)))
 
 
 class _RidgeTrialEngine:
@@ -281,35 +266,19 @@ class _RidgeTrialEngine:
             self._full_cache = (dual, b, c_inv_diag)
         return self._full_cache
 
-    def _interval_stats(
-        self, lower: np.ndarray, upper: np.ndarray
-    ) -> tuple[float, float]:
-        covered = (self.test.y >= lower) & (self.test.y <= upper)
-        widths = np.maximum(upper - lower, 0.0)
-        return float(np.mean(~covered)), float(np.mean(widths))
-
     # -- jackknife+ --------------------------------------------------------
     def jackknife(self) -> tuple[float, float]:
         dual, b, c_inv_diag = self._full_data()
-        k = order_stat_index(self.n, self.alpha)
-        if k is OVERFLOW:
-            return 0.0, math.inf
         loo_shift = dual / c_inv_diag  # y_i - mu_{-i}(x_i), exactly
         residuals = np.abs(loo_shift)
         test_pred = self.gram_test @ dual
         # mu_{-i}(x_t) = test prediction minus the downdate along C^-1 k_t
         mu_loo = test_pred[:, None] - b * loo_shift[None, :]
-        lower = np.partition(mu_loo - residuals[None, :], self.n - k, axis=1)[
-            :, self.n - k
-        ]
-        upper = np.partition(mu_loo + residuals[None, :], k - 1, axis=1)[:, k - 1]
-        return self._interval_stats(lower, upper)
+        lower, upper = plus_bounds(mu_loo, residuals, self.alpha)
+        return _score(lower, upper, self.test.y)
 
     # -- cv+ ---------------------------------------------------------------
     def cv(self, folds) -> tuple[float, float]:
-        k = order_stat_index(self.n, self.alpha)
-        if k is OVERFLOW:
-            return 0.0, math.inf
         mu_eval = np.empty((self.n, len(self.test)))
         residuals = np.empty(self.n)
         for fold in range(folds.K):
@@ -324,11 +293,8 @@ class _RidgeTrialEngine:
                 self.train.y[held] - self.gram[np.ix_(held, keep)] @ dual_k
             )
             mu_eval[held] = self.gram_test[:, keep] @ dual_k
-        lower = np.partition(
-            mu_eval.T - residuals[None, :], self.n - k, axis=1
-        )[:, self.n - k]
-        upper = np.partition(mu_eval.T + residuals[None, :], k - 1, axis=1)[:, k - 1]
-        return self._interval_stats(lower, upper)
+        lower, upper = plus_bounds(mu_eval.T, residuals, self.alpha)
+        return _score(lower, upper, self.test.y)
 
     # -- full conformal (exact ridge path) ----------------------------------
     def _full_conformal_coefficients(self):
@@ -351,7 +317,7 @@ class _RidgeTrialEngine:
         b_mat = -slope_new[:, None] * b
         return a, b_mat, a0, slope_new
 
-    def full_conformal(self, want_widths: bool) -> tuple[float, float]:
+    def full_conformal(self) -> tuple[float, float]:
         k = order_stat_index(self.n, self.alpha)
         if k is OVERFLOW:
             return 0.0, math.inf
@@ -362,8 +328,6 @@ class _RidgeTrialEngine:
         undercut = np.abs(r_train) < np.abs(r_new)[:, None]
         covered = undercut.sum(axis=1) <= k - 1
         miss = float(np.mean(~covered))
-        if not want_widths:
-            return miss, math.nan
         widths = np.empty(len(self.test))
         for t in range(len(self.test)):
             pset = _set_from_affine_residuals(a[t], b_mat[t], a0[t], b0[t], k)
@@ -373,15 +337,7 @@ class _RidgeTrialEngine:
 
 def _ridge_trial(config: ExperimentConfig, trial: int) -> list[TrialRecord]:
     rng = derive_rng(config.master_seed, trial)
-    if config.fixed_beta is not None:
-        beta = np.asarray(config.fixed_beta, dtype=float)
-    elif config.redraw_beta:
-        beta = math.sqrt(10.0) * random_unit_vector(config.d, rng)
-    else:
-        # one shared random draw from a stream disjoint from all trial data
-        beta = math.sqrt(10.0) * random_unit_vector(
-            config.d, derive_rng(config.master_seed, 0, _STAGE_BETA)
-        )
+    beta = math.sqrt(10.0) * random_unit_vector(config.d, rng)
     data = _draw_linear_gaussian(config.n + config.n_test, config.d, beta, rng)
     train = data.subset(np.arange(config.n))
     test = data.subset(np.arange(config.n, config.n + config.n_test))
@@ -399,7 +355,7 @@ def _ridge_trial(config: ExperimentConfig, trial: int) -> list[TrialRecord]:
             )
             miss, width = engine.cv(folds)
         elif method == METHOD_FULL:
-            miss, width = engine.full_conformal(want_widths=True)
+            miss, width = engine.full_conformal()
         else:  # pragma: no cover - guarded by config validation
             raise ValueError(method)
         records.append(
@@ -417,8 +373,7 @@ def _ridge_trial(config: ExperimentConfig, trial: int) -> list[TrialRecord]:
     return records
 
 
-# sub-stream tags so auxiliary draws never overlap the trial's data stream
-_STAGE_BETA = 5
+# sub-stream tag so the fold draw never overlaps the trial's data stream
 _STAGE_FOLDS = 7
 
 
@@ -444,8 +399,7 @@ def _adversary_trial(
     else:
         method = METHOD_JACKKNIFE
         lower, upper = adversary_jackknife_bounds(train, clock, config.alpha, test.x)
-    covered = (test.y >= lower) & (test.y <= upper)
-    widths = np.maximum(upper - lower, 0.0)
+    miss, width = _score(lower, upper, test.y)
     return [
         TrialRecord(
             trial=trial,
@@ -454,8 +408,8 @@ def _adversary_trial(
             n=config.n,
             d=config.d,
             alpha=config.alpha,
-            alpha_hat=float(np.mean(~covered)),
-            mean_width=float(np.mean(widths)),
+            alpha_hat=miss,
+            mean_width=width,
             events=events,
         )
     ]

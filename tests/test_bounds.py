@@ -4,7 +4,6 @@ import pytest
 
 from coverkit.bounds import (
     INFEASIBLE,
-    BoundQuery,
     adversarial_floor,
     corrected_alpha_split,
     cvplus_pac_bound,
@@ -84,28 +83,6 @@ class TestAdversarialFloor:
     def test_validation(self):
         with pytest.raises(ValueError):
             adversarial_floor(0.1, 1)
-
-
-class TestBoundQuery:
-    def test_delegates_to_the_formulas(self):
-        query = BoundQuery(alpha=0.1, delta=0.05, n=50_000, n1=250, K=20, m=25)
-        assert query.split_bound() == split_pac_bound(0.1, 0.05, 250)
-        assert query.cvplus_bound() == cvplus_pac_bound(0.1, 0.05, 20, 25)
-        assert query.floor() == adversarial_floor(0.1, 50_000)
-        assert query.corrected_split() == corrected_alpha_split(0.1, 0.05, 250)
-
-    def test_missing_sizes_rejected(self):
-        query = BoundQuery(alpha=0.1, delta=0.05)
-        with pytest.raises(ValueError, match="n1"):
-            query.split_bound()
-        with pytest.raises(ValueError, match="n"):
-            query.floor()
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            BoundQuery(alpha=1.2)
-        with pytest.raises(ValueError):
-            BoundQuery(alpha=0.1, n1=0)
 
 
 class TestCorrectedAlphaSplit:

@@ -182,6 +182,49 @@ class TestSimulateCommand:
         assert time.monotonic() - t0 < 30.0
 
 
+class TestFailedRuns:
+    """A failed run changes nothing in the output directory."""
+
+    SMOKE = ["simulate", "--preset", "smoke", "--trials", "2"]
+    OUTPUTS = ("manifest.json", "trials.csv", "summary.csv", "summary.json")
+
+    def test_interrupted_rerun_keeps_finished_run(self, capsys, tmp_path, monkeypatch):
+        import coverkit.cli as cli_module
+
+        code, _, _ = _run(capsys, [*self.SMOKE, "--out-dir", str(tmp_path)])
+        assert code == 0
+        before = {name: (tmp_path / name).read_bytes() for name in self.OUTPUTS}
+
+        def interrupted(config, workers=1):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli_module, "run_trials", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main([*self.SMOKE, "--out-dir", str(tmp_path)])
+        capsys.readouterr()
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(self.OUTPUTS)
+        assert {name: (tmp_path / name).read_bytes() for name in self.OUTPUTS} == before
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", *TINY, "--workers", "2"],
+        ["adversary", "--method", "jk", "--n", "100", "--trials", "2",
+         "--n-test", "10", "--alpha", "0.5", "--workers", "2"],
+    ], ids=["simulate", "adversary"])
+    def test_worker_crash_exit_3_no_partials(self, capsys, tmp_path, monkeypatch, argv):
+        from concurrent.futures.process import BrokenProcessPool
+
+        import coverkit.cli as cli_module
+
+        def crashed(config, workers=1):
+            raise BrokenProcessPool("a child process terminated abruptly")
+
+        monkeypatch.setattr(cli_module, "run_trials", crashed)
+        code, _, err = _run(capsys, [*argv, "--out-dir", str(tmp_path)])
+        assert code == 3
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestAdversaryCommand:
     def test_invalid_method_exit_2(self, capsys, tmp_path):
         code, _, _ = _run(

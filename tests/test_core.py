@@ -1,10 +1,15 @@
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coverkit import (
+    INFEASIBLE,
     OVERFLOW,
     Dataset,
     FoldPartition,
@@ -14,6 +19,7 @@ from coverkit import (
     kth_smallest,
     make_folds,
     order_stat_index,
+    plus_bounds,
     ridge_algorithm,
 )
 from coverkit.regressors import ClockConfig, RidgeConfig, adversary_full_algorithm
@@ -49,6 +55,19 @@ class TestOrderStatIndex:
                     assert got == expected, (n, alpha)
 
 
+class TestSentinels:
+    @pytest.mark.parametrize(
+        "sentinel, name",
+        [(OVERFLOW, "OVERFLOW"), (INFEASIBLE, "INFEASIBLE")],
+        ids=["OVERFLOW", "INFEASIBLE"],
+    )
+    def test_falsy_named_singletons(self, sentinel, name):
+        assert pickle.loads(pickle.dumps(sentinel)) is sentinel
+        assert copy.deepcopy(sentinel) is sentinel
+        assert bool(sentinel) is False
+        assert repr(sentinel) == name
+
+
 class TestSelection:
     def test_examples(self):
         assert kth_smallest([3, 1, 2], 2) == 2
@@ -82,6 +101,43 @@ class TestSelection:
                 continue
             v = kth_smallest(values, k)
             assert values.min() <= v <= values.max()
+
+
+@st.composite
+def _plus_problems(draw):
+    """(mu, residuals, alpha) with small integers for ties, or spread floats."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 40))
+    values = draw(
+        st.sampled_from([st.integers(-3, 3).map(float), st.floats(-1e3, 1e3)])
+    )
+    mu = np.array(draw(st.lists(values, min_size=m * n, max_size=m * n)))
+    mu = mu.reshape(m, n)
+    if draw(st.booleans()):
+        mu = np.asfortranarray(mu)  # callers pass transposed views too
+    residuals = np.abs(np.array(draw(st.lists(values, min_size=n, max_size=n))))
+    return mu, residuals, draw(st.floats(0.001, 0.999))
+
+
+class TestPlusBounds:
+    """The one jackknife+/cv+ endpoint kernel against a full sort."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_plus_problems())
+    @example((np.array([[1.0, 1.0, 2.0, 2.0]]), np.array([0.0, 1.0, 1.0, 0.0]), 0.3))
+    @example((np.zeros((3, 5)), np.ones(5), 0.1))  # rank 6 of 5 overflows
+    def test_matches_sorted_order_statistics(self, problem):
+        mu, residuals, alpha = problem
+        m, n = mu.shape
+        lower, upper = plus_bounds(mu, residuals, alpha)
+        assert lower.shape == upper.shape == (m,)
+        k = order_stat_index(n, alpha)
+        if k is OVERFLOW:
+            assert np.all(lower == -np.inf) and np.all(upper == np.inf)
+            return
+        # k-th largest of mu - R, k-th smallest of mu + R, per evaluation point
+        descending = -np.sort(-(mu - residuals), axis=1)
+        assert np.array_equal(lower, descending[:, k - 1])
+        assert np.array_equal(upper, np.sort(mu + residuals, axis=1)[:, k - 1])
 
 
 class TestFolds:
