@@ -3,7 +3,7 @@ coverage: split/full conformal, jackknife+, cv+, PAC bound calculators,
 coverage-collapse counterexamples, and a reproducible simulation harness.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .adversary import (
     EventReport,

@@ -20,6 +20,7 @@ import argparse
 import contextlib
 import json
 import os
+import platform
 import shutil
 import sys
 import tempfile
@@ -27,6 +28,9 @@ import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
+
+import numpy as np
+import scipy
 
 from . import __version__
 from .bounds import (
@@ -162,21 +166,7 @@ def _resolve_simulate_config(args) -> dict:
         if value is not None:
             raw[key] = value
 
-    known = {
-        "mode",
-        "n",
-        "n_test",
-        "dims",
-        "d",
-        "alpha",
-        "trials",
-        "methods",
-        "ridge_penalty",
-        "cv_folds",
-        "master_seed",
-        "clock_M",
-    }
-    unknown = set(raw) - known
+    unknown = set(raw) - set(overrides) - {"d"}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     if "d" in raw and "dims" not in raw:
@@ -260,6 +250,7 @@ class RunManifest:
     master_seed: int | None
     config: dict
     outputs: dict
+    environment: dict
     started: str
     finished: str | None = None
 
@@ -272,15 +263,44 @@ class RunManifest:
             return dict(json.load(handle).get("config", {}))
 
 
-def _manifest(command: str, config: dict, outputs: dict, started: str) -> RunManifest:
+def _manifest(
+    command: str, config: dict, outputs: dict, started: str, workers: int
+) -> RunManifest:
     return RunManifest(
         command=command,
         version=__version__,
         master_seed=config.get("master_seed"),
         config=config,
         outputs=outputs,
+        environment=_environment(workers),
         started=started,
     )
+
+
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _environment(workers: int) -> dict:
+    """What the data bytes depend on beyond the config.
+
+    The last digits of some widths change with the BLAS library and its
+    thread count, so a replay is byte-identical only where these match.
+    """
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.25 has no dict mode
+        blas = {}
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": {
+            key: blas.get(key) for key in ("name", "version", "openblas configuration")
+        },
+        "blas_threads": {var: os.environ.get(var) for var in _BLAS_THREAD_VARIABLES},
+        "cpu_count": os.cpu_count(),
+        "workers": workers,
+    }
 
 
 def _now() -> str:
@@ -298,7 +318,7 @@ def _cmd_simulate(args) -> int:
         "summary_json": "summary.json",
     }
     started = _now()
-    manifest = _manifest("simulate", resolved, outputs, started)
+    manifest = _manifest("simulate", resolved, outputs, started, args.workers)
     t0 = time.monotonic()
     with _staged_outputs(args.out_dir) as staging:
         manifest.write(os.path.join(staging, _MANIFEST))
@@ -350,7 +370,7 @@ def _cmd_adversary(args) -> int:
         )
 
     outputs = {"trials_csv": "adversary_trials.csv"}
-    manifest = _manifest("adversary", resolved, outputs, _now())
+    manifest = _manifest("adversary", resolved, outputs, _now(), args.workers)
     with _staged_outputs(args.out_dir) as staging:
         manifest.write(os.path.join(staging, _MANIFEST))
         records = run_trials(config, workers=args.workers)
@@ -506,10 +526,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
     except OSError as exc:

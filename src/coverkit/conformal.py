@@ -44,6 +44,8 @@ __all__ = [
     "default_grid",
     "full_conformal_grid",
     "full_conformal_ridge_exact",
+    "PredictionSetBatch",
+    "affine_conformal_sets",
     "jackknife_plus",
     "jackknife_plus_bounds",
     "cv_plus",
@@ -238,88 +240,103 @@ def full_conformal_grid(
     return PredictionSet.from_intervals(pairs)
 
 
-def _set_from_affine_residuals(
-    a: np.ndarray, b: np.ndarray, a0: float, b0: float, k: int
-) -> PredictionSet:
-    """Exact {y : #(|a_i + b_i y| < |a0 + b0 y|) <= k - 1} as closed intervals.
+@dataclass(frozen=True)
+class PredictionSetBatch:
+    """Prediction sets of m points, stored as one flat list of intervals.
 
-    Each comparison flips only where the two affine residual functions
-    cross in absolute value, so candidate boundaries are the roots of
-    (a_i - a0) + (b_i - b0) y and (a_i + a0) + (b_i + b0) y. A sweep over
-    the sorted roots tracks the count of strict under-cuts; isolated
-    single points where the count dips exactly at a crossing are dropped
-    (they carry neither width nor probability).
+    Interval j is [lower[j], upper[j]] and belongs to point row[j]. Rows are
+    nondecreasing; each point's intervals are sorted, disjoint and
+    non-touching, and a point without intervals has the empty set.
     """
-    n = a.size
+
+    lower: np.ndarray
+    upper: np.ndarray
+    row: np.ndarray
+    m: int
+
+    def prediction_set(self, t: int) -> PredictionSet:
+        mine = self.row == t
+        return PredictionSet(np.column_stack([self.lower[mine], self.upper[mine]]))
+
+    def widths(self) -> np.ndarray:
+        """Total width of each point's set; inf where it is unbounded."""
+        return np.bincount(self.row, weights=self.upper - self.lower, minlength=self.m)
+
+    def contains(self, y) -> np.ndarray:
+        """Whether y[t] lies in point t's set, for every point t."""
+        y = np.asarray(y, dtype=float)[self.row]
+        inside = (y >= self.lower) & (y <= self.upper)
+        return np.bincount(self.row, weights=inside, minlength=self.m) > 0
+
+
+def affine_conformal_sets(a, b, a0, b0, alpha: float) -> PredictionSetBatch:
+    """Exact full-conformal sets of m points whose residuals are affine in y.
+
+    Row t holds one point: at candidate label y, training residual i is
+    |a[t, i] + b[t, i] y| and the point's own residual is |a0[t] + b0[t] y|.
+    Its set is {y : #(i : |a_i + b_i y| < |a0 + b0 y|) <= k - 1}, with
+    k = ceil((1-alpha)(n+1)); rank overflow gives the whole line.
+
+    Comparison i flips only where the two residuals cross in absolute
+    value, at the roots of (a_i - a0) + (b_i - b0) y and (a_i + a0) +
+    (b_i + b0) y. One sweep per row over the 2n sorted roots keeps the
+    strict under-cut count (Nouretdinov, Melluish & Vovk, ICML 2001), for
+    all rows at once. Isolated points, where the count dips only at a
+    crossing, are dropped: they carry neither width nor probability.
+    """
+    a, b = np.atleast_2d(a), np.atleast_2d(b)
+    a0, b0 = np.atleast_1d(a0)[:, None], np.atleast_1d(b0)[:, None]
+    m, n = a.shape
+    k = order_stat_index(n, alpha)
+    if k is OVERFLOW:
+        whole = np.arange(m)
+        return PredictionSetBatch(np.full(m, -np.inf), np.full(m, np.inf), whole, m)
     d_minus, d_plus = b - b0, b + b0
     num_minus, num_plus = a - a0, a + a0
-    # identical lines up to sign: |a_i + b_i y| == |a0 + b0 y| everywhere,
-    # never a strict under-cut; suppress their spurious root
-    identical = ((d_minus == 0) & (num_minus == 0)) | ((d_plus == 0) & (num_plus == 0))
-
-    has_minus = (d_minus != 0) & ~identical
-    has_plus = (d_plus != 0) & ~identical
-    roots = []
-    owners = []
-    rank_first = []  # True if this root is the owner's smaller root
-    r_minus = np.where(has_minus, -num_minus / np.where(d_minus == 0, 1.0, d_minus), np.nan)
-    r_plus = np.where(has_plus, -num_plus / np.where(d_plus == 0, 1.0, d_plus), np.nan)
-    both = has_minus & has_plus
-    only_minus = has_minus & ~has_plus
-    only_plus = has_plus & ~has_minus
-
-    idx_both = np.flatnonzero(both)
-    if idx_both.size:
-        lo_r = np.minimum(r_minus[idx_both], r_plus[idx_both])
-        hi_r = np.maximum(r_minus[idx_both], r_plus[idx_both])
-        roots.extend([lo_r, hi_r])
-        owners.extend([idx_both, idx_both])
-        rank_first.extend(
-            [np.ones(idx_both.size, bool), np.zeros(idx_both.size, bool)]
-        )
-    for mask, rts in ((only_minus, r_minus), (only_plus, r_plus)):
-        idx = np.flatnonzero(mask)
-        if idx.size:
-            roots.append(rts[idx])
-            owners.append(idx)
-            rank_first.append(np.ones(idx.size, bool))
-
-    if not roots:
-        count = int(np.count_nonzero(np.abs(a) < abs(a0)))
-        return PredictionSet.real_line() if count <= k - 1 else PredictionSet.empty()
-
-    roots = np.concatenate(roots)
-    owners = np.concatenate(owners)
-    rank_first = np.concatenate(rank_first)
-
-    y_left = float(np.min(roots)) - 1.0
-    ind0 = np.abs(a + b * y_left) < abs(a0 + b0 * y_left)
-    count0 = int(np.count_nonzero(ind0))
-
-    # each owner's indicator flips at each of its roots; the first flip's
-    # direction is set by the initial state, the second reverses it
-    first_delta = np.where(ind0[owners], -1, 1)
-    deltas = np.where(rank_first, first_delta, -first_delta)
-
-    order = np.argsort(roots, kind="stable")
-    sorted_roots = roots[order]
-    counts_after = count0 + np.cumsum(deltas[order])
-
-    boundaries = np.concatenate(([-np.inf], sorted_roots, [np.inf]))
-    seg_included = np.concatenate(([count0 <= k - 1], counts_after <= k - 1))
-    if not seg_included.any():
-        return PredictionSet.empty()
-    pairs = []
-    start = None
-    for j, inc in enumerate(seg_included):
-        if inc and start is None:
-            start = boundaries[j]
-        elif not inc and start is not None:
-            pairs.append((start, boundaries[j]))
-            start = None
-    if start is not None:
-        pairs.append((start, boundaries[-1]))
-    return PredictionSet.from_intervals(pairs)
+    # (a_i + b_i y)^2 - (a0 + b0 y)^2 is the product of the two affine
+    # factors, negative exactly where i under-cuts; its sign as y -> -inf
+    # gives the starting state, and it is 0 everywhere for identical lines
+    sign_minus = np.where(d_minus != 0, -np.sign(d_minus), np.sign(num_minus))
+    sign_plus = np.where(d_plus != 0, -np.sign(d_plus), np.sign(num_plus))
+    under = sign_minus * sign_plus < 0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        r_minus, r_plus = -num_minus / d_minus, -num_plus / d_plus
+    # a constant factor has no root, identical lines have none at all; a
+    # missing root is parked at +inf, where the sweep never reaches it
+    np.copyto(r_minus, np.inf, where=(d_minus == 0) | (sign_plus == 0))
+    np.copyto(r_plus, np.inf, where=(d_plus == 0) | (sign_minus == 0))
+    roots = np.empty((m, 2 * n))
+    np.minimum(r_minus, r_plus, out=roots[:, :n])
+    np.maximum(r_minus, r_plus, out=roots[:, n:])
+    # the first root of comparison i ends its starting state, the second
+    # restores it
+    first = np.where(under, -1, 1).astype(np.int8)
+    deltas = np.concatenate([first, -first], axis=1) * (roots < np.inf)
+    roots, deltas = roots.ravel(), deltas.ravel()
+    order = np.argsort(roots.reshape(m, 2 * n), axis=1)
+    order += np.arange(0, roots.size, 2 * n)[:, None]  # positions in the flat arrays
+    count0 = under.sum(axis=1, keepdims=True)
+    count = count0 + np.cumsum(deltas[order], axis=1)
+    # segment j runs from bounds[j] to bounds[j + 1]; edge[:, j] is +1 where
+    # a run of included segments starts at bounds[j] and -1 where one ends
+    # there, so in each row starts and ends alternate
+    included = np.concatenate([count0, count], axis=1) <= k - 1
+    edge = np.zeros((m, 2 * n + 2), dtype=np.int8)
+    edge[:, :-1] = included
+    edge[:, 1:] -= included
+    infinite = np.full((m, 1), np.inf)
+    bounds = np.concatenate([-infinite, roots[order], infinite], axis=1)
+    row, col = np.nonzero(edge)
+    lower, upper = bounds[row[::2], col[::2]], bounds[row[1::2], col[1::2]]
+    row = row[::2]
+    # tied roots leave pieces of zero length: drop the isolated points and
+    # join the touching neighbours that one splits
+    keep = lower < upper
+    row, lower, upper = row[keep], lower[keep], upper[keep]
+    apart = (upper[:-1] != lower[1:]) | (row[:-1] != row[1:])
+    opens, closes = np.ones(row.size, dtype=bool), np.ones(row.size, dtype=bool)
+    opens[1:] = closes[:-1] = apart
+    return PredictionSetBatch(lower[opens], upper[closes], row[opens], m)
 
 
 def full_conformal_ridge_exact(
@@ -340,10 +357,6 @@ def full_conformal_ridge_exact(
         raise ValueError("training data must be nonempty")
     x_new = np.atleast_1d(np.asarray(x_new, dtype=float))
     n = len(train)
-    k = order_stat_index(n, alpha)
-    if k is OVERFLOW:
-        return PredictionSet.real_line()
-
     x_aug = np.vstack([train.x, x_new[None, :]])
     rhs = np.zeros((n + 1, 2))
     rhs[:n, 0] = train.y
@@ -355,7 +368,7 @@ def full_conformal_ridge_exact(
     b = -(train.x @ beta_dir)
     a0 = -float(x_new @ beta_base)
     b0 = 1.0 - float(x_new @ beta_dir)
-    return _set_from_affine_residuals(a, b, a0, b0, k)
+    return affine_conformal_sets(a, b, a0, b0, alpha).prediction_set(0)
 
 
 def jackknife_plus_bounds(

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from coverkit.cli import main
@@ -83,6 +84,23 @@ class TestSimulateCommand:
         assert manifest["finished"] is not None
         assert manifest["config"]["n"] == 20
         assert "outputs written" in out
+
+    def test_manifest_records_the_environment(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        code, _, _ = _run(
+            capsys, ["simulate", *TINY, "--workers", "1", "--out-dir", str(tmp_path)]
+        )
+        assert code == 0
+        env = json.loads((tmp_path / "manifest.json").read_text())["environment"]
+        assert set(env) == {
+            "python", "numpy", "scipy", "blas", "blas_threads", "cpu_count", "workers",
+        }
+        assert env["numpy"] == np.__version__ and env["workers"] == 1
+        assert env["blas_threads"]["OPENBLAS_NUM_THREADS"] == "1"
+        assert set(env["blas_threads"]) == {
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+        }
+        assert "name" in env["blas"] and env["cpu_count"] >= 1
 
     def test_missing_out_dir_exit_3_no_partials(self, capsys, tmp_path):
         missing = tmp_path / "does-not-exist"

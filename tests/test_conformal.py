@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coverkit import (
     Dataset,
@@ -18,7 +20,7 @@ from coverkit import (
     ridge_algorithm,
     split_conformal,
 )
-from coverkit.conformal import SplitSpec, default_grid
+from coverkit.conformal import SplitSpec, affine_conformal_sets, default_grid
 from coverkit.core import RegressionAlgorithm
 from coverkit.regressors import RidgeConfig, constant_fit
 
@@ -154,6 +156,124 @@ class TestFullConformalRidgeExact:
         train = _dataset([1.0, 2.0])
         ps = full_conformal_ridge_exact(train, [0.0], RidgeConfig(1e-4), alpha=0.1)
         assert ps.is_real_line
+
+
+@st.composite
+def _affine_rows(draw, exact=False):
+    """(a, b, a0, b0, alpha) for m rows; small integers make ties and
+    identical lines likely. With ``exact`` the other values are multiples of
+    1/64, so that two lines are either identical or visibly apart and
+    residuals compare in floating point as they do in exact arithmetic."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 12))
+    fine = st.integers(-64000, 64000).map(lambda v: v / 64) if exact else st.floats(
+        -1e3, 1e3
+    )
+    values = draw(st.sampled_from([st.integers(-2, 2).map(float), fine]))
+
+    def array(*shape):
+        size = int(np.prod(shape))
+        drawn = draw(st.lists(values, min_size=size, max_size=size))
+        return np.array(drawn).reshape(shape)
+
+    return array(m, n), array(m, n), array(m), array(m), draw(st.floats(0.01, 0.99))
+
+
+class TestAffineSweep:
+    """The batched exact sweep behind both full-conformal ridge paths."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_affine_rows())
+    @example((np.zeros((2, 3)), np.zeros((2, 3)), np.zeros(2), np.zeros(2), 0.5))
+    def test_batch_rows_match_single_calls(self, problem):
+        a, b, a0, b0, alpha = problem
+        batch = affine_conformal_sets(a, b, a0, b0, alpha)
+        widths, labels = batch.widths(), a0 + 0.5
+        inside = batch.contains(labels)
+        for t in range(a.shape[0]):
+            single = affine_conformal_sets(a[t], b[t], a0[t], b0[t], alpha)
+            single = single.prediction_set(0)
+            assert np.array_equal(batch.prediction_set(t).intervals, single.intervals)
+            # summing eight or more pieces may round differently
+            assert widths[t] == pytest.approx(single.total_width, rel=1e-12)
+            assert inside[t] == (labels[t] in single)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_affine_rows(exact=True))
+    def test_set_is_the_definition(self, problem):
+        # membership away from the boundaries is the strict under-cut count
+        a, b, a0, b0, alpha = problem
+        n = a.shape[1]
+        k = math.ceil((1 - alpha) * (n + 1) - 1e-9)
+        batch = affine_conformal_sets(a, b, a0, b0, alpha)
+        y = np.linspace(-2e3, 2e3, 101) + 0.37
+        for t in range(a.shape[0]):
+            pset = batch.prediction_set(t)
+            own = np.abs(a0[t] + b0[t] * y)[:, None]
+            undercuts = np.sum(np.abs(a[t] + b[t] * y[:, None]) < own, axis=1)
+            member = (k > n) | (undercuts <= k - 1)
+            ends = pset.intervals[np.isfinite(pset.intervals)]
+            gap = np.abs(y[:, None] - ends[None, :]).min(axis=1, initial=np.inf)
+            away = gap > 1e-6 * np.maximum(1.0, np.abs(y))
+            assert np.array_equal(pset.contains(y)[away], member[away])
+
+    def test_identical_lines_give_the_whole_line(self):
+        a0, b0 = np.array([0.5]), np.array([2.0])
+        a = np.array([[0.5, -0.5, 0.5]])  # a_i + b_i y = +-(a0 + b0 y)
+        b = np.array([[2.0, -2.0, 2.0]])
+        assert affine_conformal_sets(a, b, a0, b0, 0.5).prediction_set(0).is_real_line
+
+    def test_parallel_lines_apart_by_less_than_rounding(self):
+        # |1.6e-112 + y| and |y| are equal in floating point wherever
+        # |y| > 1e-95, yet the first under-cuts the second below -0.8e-112
+        a, b = np.array([[0.0, 1.6e-112]]), np.ones((1, 2))
+        pset = affine_conformal_sets(a, b, 0.0, 1.0, 0.7).prediction_set(0)
+        assert pset.intervals.tolist() == [[-0.8e-112, math.inf]]
+
+    def test_zero_slopes_give_the_whole_line_or_nothing(self):
+        a, b = np.array([[1.0, 2.0, 3.0, 4.0]]), np.zeros((1, 4))
+        # two training residuals (1 and 2) under-cut the constant 2.5
+        assert affine_conformal_sets(a, b, 2.5, 0.0, 0.5).prediction_set(0).is_real_line
+        assert affine_conformal_sets(a, b, 2.5, 0.0, 0.9).prediction_set(0).is_empty
+
+    def test_unbounded_at_the_interpolation_threshold(self):
+        # d = n: the augmented fit nearly interpolates the new point, whose
+        # residual then stays below most others for every large label
+        for seed in range(5):
+            for d, bounded in ((20, False), (5, True)):
+                train, x_new = _random_ridge_instance(seed, n=20, d=d)
+                pset = full_conformal_ridge_exact(train, x_new, RidgeConfig(1e-4), 0.1)
+                assert math.isfinite(pset.total_width) == bounded
+                assert (1e300 in pset) != bounded
+
+    def test_overflow_gives_the_whole_line_everywhere(self):
+        batch = affine_conformal_sets(np.ones((3, 5)), np.ones((3, 5)), np.zeros(3),
+                                      np.ones(3), alpha=0.01)  # rank 6 of 5
+        assert all(batch.prediction_set(t).is_real_line for t in range(3))
+        assert np.all(batch.widths() == math.inf) and batch.contains(np.zeros(3)).all()
+
+    @pytest.mark.parametrize(
+        "n, d, penalty", [(12, 12, 1e-2), (10, 20, 1e-1), (12, 4, 1.0)]
+    )
+    def test_agrees_with_grid_at_any_dimension(self, n, d, penalty):
+        # the refitting grid is the sweep's only independent check
+        step = 2e-3
+        for seed in range(3):
+            train, x_new = _random_ridge_instance(seed, n=n, d=d)
+            exact = full_conformal_ridge_exact(train, x_new, RidgeConfig(penalty), 0.2)
+            ends = exact.intervals[np.isfinite(exact.intervals)]
+            lo, hi = (ends.min() - 0.5, ends.max() + 0.5) if ends.size else (-5.0, 5.0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # unbounded sets touch the grid ends
+                grid = full_conformal_grid(
+                    train, x_new, ridge_algorithm(RidgeConfig(penalty)), 0.2,
+                    grid=GridSpec(lo, hi, step),
+                )
+            points = np.linspace(lo, hi, 997)
+            near = np.abs(points[:, None] - ends[None, :]).min(axis=1, initial=np.inf)
+            mismatch = exact.contains(points) != grid.contains(points)
+            assert not np.any(mismatch & (near > step + 1e-9))
+            grid_ends = grid.intervals.ravel()
+            assert all(np.min(np.abs(grid_ends - e)) <= step + 1e-9 for e in ends)
 
 
 class TestJackknifePlus:

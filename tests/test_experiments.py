@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coverkit import Dataset, make_folds, ridge_algorithm
 from coverkit.conformal import (
@@ -160,6 +162,92 @@ class TestEngineAgainstGenericConstructions:
         ref_width = float(np.mean([s.total_width for s in sets]))
         assert miss == ref_miss
         assert width == pytest.approx(ref_width, rel=1e-8)
+
+
+@st.composite
+def _engine_problems(draw):
+    """(n, d, K, penalty, alpha, seed, duplicate): d = n half the time, K any
+    divisor of n; with ``duplicate`` the first training point is repeated."""
+    n = draw(st.integers(4, 24))
+    d = draw(st.one_of(st.just(n), st.integers(1, 2 * n)))
+    K = draw(st.sampled_from([k for k in range(2, n + 1) if n % k == 0]))
+    penalty = 10.0 ** draw(st.floats(-4.0, 1.0))
+    alpha = draw(st.floats(0.01, 0.6))  # below 1/(n+1) the rank overflows
+    return n, d, K, penalty, alpha, draw(st.integers(0, 2**32 - 1)), draw(st.booleans())
+
+
+class TestEngineProperties:
+    """Every engine method against its generic construction, at random sizes."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_engine_problems())
+    @example((24, 24, 2, 1e-4, 0.1, 0, False))  # d = n, two folds
+    @example((12, 12, 12, 1e-4, 0.1, 1, True))  # d = n, singleton folds: K = n
+    @example((9, 30, 3, 1e-2, 0.05, 2, False))  # rank 10 of 9 overflows but for split
+    def test_engine_matches_generic(self, problem):
+        n, d, K, penalty, alpha, seed, duplicate = problem
+        rng = np.random.default_rng(seed)
+        x, xt = rng.standard_normal((n, d)), rng.standard_normal((7, d))
+        beta = rng.standard_normal(d)
+        y = x @ beta + rng.standard_normal(n)
+        if duplicate:
+            x[1], y[1] = x[0], y[0]
+        train = Dataset(x, y)
+        test = Dataset(xt, xt @ beta + rng.standard_normal(7))
+        algo = ridge_algorithm(RidgeConfig(penalty))
+        folds = make_folds(n, K, seed=seed % 1000)
+        engine = _RidgeTrialEngine(train, test, penalty, alpha)
+
+        def stats(lo, up):
+            miss = float(np.mean(~((test.y >= lo) & (test.y <= up))))
+            return miss, float(np.mean(np.maximum(up - lo, 0.0)))
+
+        n0 = n // 2
+        split = split_conformal(
+            train.subset(range(n0)), train.subset(range(n0, n)), algo, alpha
+        )
+        preds = split.model(test.x)
+        sets = [
+            full_conformal_ridge_exact(train, xt_row, RidgeConfig(penalty), alpha)
+            for xt_row in test.x
+        ]
+        jk = jackknife_plus_bounds(train, test.x, algo, alpha)
+        cv = cv_plus_bounds(train, test.x, algo, alpha, folds)
+        reference = {
+            "split": (
+                float(np.mean(np.abs(test.y - preds) > split.radius)),
+                2 * split.radius,
+            ),
+            "full": (
+                float(np.mean([y not in s for s, y in zip(sets, test.y)])),
+                float(np.mean([s.total_width for s in sets])),
+            ),
+            "jackknife": stats(*jk),
+            "cv": stats(*cv),
+        }
+        got = {
+            "split": engine.split(SplitSpec(n0, n - n0, alpha)),
+            "full": engine.full_conformal(),
+            "jackknife": engine.jackknife(),
+            "cv": engine.cv(folds),
+        }
+        for method, (ref_miss, ref_width) in reference.items():
+            miss, width = got[method]
+            assert miss == ref_miss, method
+            assert width == pytest.approx(ref_width, rel=1e-8), method
+
+    @settings(max_examples=20, deadline=None)
+    @given(_engine_problems())
+    def test_cv_with_singleton_folds_is_jackknife(self, problem):
+        n, d, _, penalty, alpha, seed, _ = problem
+        rng = np.random.default_rng(seed)
+        train = Dataset(rng.standard_normal((n, d)), rng.standard_normal(n))
+        test = Dataset(rng.standard_normal((7, d)), rng.standard_normal(7))
+        engine = _RidgeTrialEngine(train, test, penalty, alpha)
+        miss, width = engine.cv(make_folds(n, n, seed=0))
+        jk_miss, jk_width = engine.jackknife()
+        assert miss == jk_miss
+        assert width == pytest.approx(jk_width, rel=1e-12)
 
 
 class TestRunTrials:
