@@ -6,7 +6,7 @@ sets and shows its spread: tight for split conformal, wide for jackknife+
 when the regression is unstable (here: dimension equal to the training
 size, tiny ridge penalty).
 
-Run:  python demos/02_training_conditional_coverage.py   (about a minute)
+Run:  python demos/02_training_conditional_coverage.py   (a few seconds)
 """
 
 from coverkit import ExperimentConfig, run_trials, summarize

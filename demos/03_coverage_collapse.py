@@ -6,7 +6,7 @@ cells. On a small but non-negligible fraction of training sets (three
 detectable events), every prediction interval lands entirely above the
 label distribution and coverage collapses to ~0%.
 
-Run:  python demos/03_coverage_collapse.py   (about a minute)
+Run:  python demos/03_coverage_collapse.py   (a few seconds)
 """
 
 import numpy as np

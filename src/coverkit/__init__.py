@@ -3,7 +3,7 @@ coverage: split/full conformal, jackknife+, cv+, PAC bound calculators,
 coverage-collapse counterexamples, and a reproducible simulation harness.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .adversary import (
     EventReport,
@@ -46,7 +46,6 @@ from .core import (
     FoldPartition,
     PredictionSet,
     RegressionAlgorithm,
-    kth_largest,
     kth_smallest,
     make_folds,
     order_stat_index,
@@ -71,7 +70,6 @@ from .regressors import (
     adversary_full_fit,
     adversary_jackknife_algorithm,
     adversary_jackknife_fit,
-    clock_index,
     constant_algorithm,
     constant_fit,
     ridge_algorithm,

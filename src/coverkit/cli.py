@@ -66,7 +66,7 @@ PRESETS: dict[str, dict] = {
         "dims": [125, 250, 500, 1000],
         "alpha": 0.1,
         "trials": 200,
-        "methods": "split,full,jackknife+,cv+",
+        "methods": ["split", "full", "jackknife+", "cv+"],
         "ridge_penalty": 1e-4,
         "cv_folds": 20,
         "master_seed": 20240601,
@@ -78,7 +78,7 @@ PRESETS: dict[str, dict] = {
         "dims": [10],
         "alpha": 0.1,
         "trials": 20,
-        "methods": "split,full,jackknife+,cv+",
+        "methods": ["split", "full", "jackknife+", "cv+"],
         "ridge_penalty": 1e-4,
         "cv_folds": 4,
         "master_seed": 20240601,
@@ -99,6 +99,30 @@ class ConfigError(Exception):
     """Invalid configuration: maps to exit code 2."""
 
 
+def _int_list(text: str) -> list[int]:
+    return [int(part) for part in text.split(",") if part.strip()]
+
+
+def _name_list(text: str) -> list[str]:
+    return [name.strip() for name in text.split(",") if name.strip()]
+
+
+# config key -> (simulate flag, parser of a flag or config-file string); the
+# keys are ExperimentConfig's fields, with "dims" (one config per d) for "d"
+_CONFIG_KEYS = {
+    "mode": ("--mode", str),
+    "n": ("--n", int),
+    "n_test": ("--n-test", int),
+    "dims": ("--dims", _int_list),
+    "alpha": ("--alpha", float),
+    "trials": ("--trials", int),
+    "methods": ("--methods", _name_list),
+    "ridge_penalty": ("--ridge-penalty", float),
+    "cv_folds": ("--cv-folds", int),
+    "master_seed": ("--seed", int),
+}
+
+
 def _parse_config_file(path: str) -> dict:
     """Flat ``key = value`` lines; '#' starts a comment; keys as in presets."""
     values: dict = {}
@@ -114,24 +138,6 @@ def _parse_config_file(path: str) -> dict:
     return values
 
 
-_INT_KEYS = {"n", "n_test", "trials", "cv_folds", "master_seed", "clock_M"}
-_FLOAT_KEYS = {"alpha", "ridge_penalty"}
-
-
-def _coerce(key: str, value):
-    if isinstance(value, str):
-        try:
-            if key in _INT_KEYS:
-                return int(value)
-            if key in _FLOAT_KEYS:
-                return float(value)
-            if key == "dims":
-                return [int(part) for part in value.split(",") if part.strip()]
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
-    return value
-
-
 def _resolve_simulate_config(args) -> dict:
     if args.from_manifest:
         try:
@@ -139,69 +145,37 @@ def _resolve_simulate_config(args) -> dict:
         except OSError as exc:
             raise ConfigError(f"cannot read manifest: {exc}") from exc
     elif args.preset:
-        if args.preset not in PRESETS:
-            raise ConfigError(
-                f"unknown preset {args.preset!r}; choose from {sorted(PRESETS)}"
-            )
         raw = dict(PRESETS[args.preset])
     elif args.config:
         raw = _parse_config_file(args.config)
     else:
         raw = dict(PRESETS["smoke"])
 
-    overrides = {
-        "mode": args.mode,
-        "n": args.n,
-        "n_test": args.n_test,
-        "dims": args.dims,
-        "alpha": args.alpha,
-        "trials": args.trials,
-        "methods": args.methods,
-        "ridge_penalty": args.ridge_penalty,
-        "cv_folds": args.cv_folds,
-        "master_seed": args.seed,
-        "clock_M": args.clock_M,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            raw[key] = value
-
-    unknown = set(raw) - set(overrides) - {"d"}
+    # a null value (an unset key of an older manifest) counts as absent
+    raw = {key: value for key, value in raw.items() if value is not None}
+    for key in _CONFIG_KEYS:
+        if getattr(args, key) is not None:
+            raw[key] = getattr(args, key)
+    unknown = set(raw) - set(_CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    if "d" in raw and "dims" not in raw:
-        raw["dims"] = [raw.pop("d")]
-    raw.setdefault("mode", RIDGE_SIM)
     raw.setdefault("master_seed", 0)
     for key in ("n", "n_test", "alpha", "trials", "dims"):
         if key not in raw:
             raise ConfigError(f"missing required config key {key!r}")
-    return {key: _coerce(key, value) for key, value in raw.items()}
+    for key, value in raw.items():
+        if isinstance(value, str):  # from a config file or an older manifest
+            try:
+                raw[key] = _CONFIG_KEYS[key][1](value)
+            except ValueError as exc:
+                raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
+    return raw
 
 
-def _experiment_config(resolved: dict, d: int) -> ExperimentConfig:
-    kwargs = dict(
-        n=resolved["n"],
-        n_test=resolved["n_test"],
-        d=d,
-        alpha=resolved["alpha"],
-        trials=resolved["trials"],
-        master_seed=resolved["master_seed"],
-        mode=resolved["mode"],
-    )
-    if resolved["mode"] == RIDGE_SIM:
-        methods = resolved.get("methods", "split,full,jackknife+,cv+")
-        if isinstance(methods, str):
-            methods = tuple(m.strip() for m in methods.split(",") if m.strip())
-        kwargs["methods"] = tuple(methods)
-        kwargs["ridge_penalty"] = resolved.get("ridge_penalty", 1e-4)
-        kwargs["cv_folds"] = resolved.get("cv_folds", 20)
-    if resolved.get("clock_M") is not None:
-        kwargs["clock_M"] = resolved["clock_M"]
-    try:
-        return ExperimentConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def _experiment_configs(resolved: dict) -> list[ExperimentConfig]:
+    """One config per d in ``dims``; ExperimentConfig supplies the defaults."""
+    rest = {key: value for key, value in resolved.items() if key != "dims"}
+    return [ExperimentConfig(d=d, **rest) for d in resolved["dims"]]
 
 
 _MANIFEST = "manifest.json"
@@ -309,8 +283,7 @@ def _now() -> str:
 
 def _cmd_simulate(args) -> int:
     resolved = _resolve_simulate_config(args)
-    dims = resolved["dims"]
-    configs = [_experiment_config(resolved, d) for d in dims]
+    configs = _experiment_configs(resolved)
 
     outputs = {
         "trials_csv": "trials.csv",
@@ -336,7 +309,7 @@ def _cmd_simulate(args) -> int:
 
     elapsed = time.monotonic() - t0
     print(f"simulate: {len(records)} records over {sum(c.trials for c in configs)} "
-          f"trials x {len(dims)} dimension(s) in {elapsed:.1f}s")
+          f"trials x {len(configs)} dimension(s) in {elapsed:.1f}s")
     for s in report.entries:
         print(
             f"  {s.method:<11} d={s.d:<5} mean={s.mean:.4f} median={s.median:.4f} "
@@ -358,9 +331,8 @@ def _cmd_adversary(args) -> int:
         "alpha": args.alpha,
         "trials": args.trials,
         "master_seed": args.seed,
-        "clock_M": args.clock_M,
     }
-    config = _experiment_config(resolved, d=1)
+    (config,) = _experiment_configs(resolved)
     clock = config.clock_config()
     if clock.M1 == 0:
         print(
@@ -475,21 +447,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="re-run the configuration stored in a manifest")
     sim.add_argument("--out-dir", default=default_out)
     sim.add_argument("--workers", type=int, default=1)
-    sim.add_argument("--mode", choices=[RIDGE_SIM, ADVERSARY_FULL, ADVERSARY_JK],
-                     default=None)
-    sim.add_argument("--n", type=int, default=None)
-    sim.add_argument("--n-test", dest="n_test", type=int, default=None)
-    sim.add_argument("--dims", type=lambda s: [int(p) for p in s.split(",")],
-                     default=None, help="comma-separated feature dimensions")
-    sim.add_argument("--alpha", type=float, default=None)
-    sim.add_argument("--trials", type=int, default=None)
-    sim.add_argument("--methods", default=None,
-                     help="comma-separated subset of split,full,jackknife+,cv+")
-    sim.add_argument("--ridge-penalty", dest="ridge_penalty", type=float,
-                     default=None)
-    sim.add_argument("--cv-folds", dest="cv_folds", type=int, default=None)
-    sim.add_argument("--seed", type=int, default=None)
-    sim.add_argument("--clock-M", dest="clock_M", type=int, default=None)
+    for key, (flag, parse) in _CONFIG_KEYS.items():
+        sim.add_argument(flag, dest=key, type=parse, help=f"sets config key {key}")
     sim.set_defaults(func=_cmd_simulate)
 
     adv = sub.add_parser("adversary", help="clock-algorithm demonstration")
@@ -499,7 +458,6 @@ def _build_parser() -> argparse.ArgumentParser:
     adv.add_argument("--n-test", dest="n_test", type=int, default=1000)
     adv.add_argument("--alpha", type=float, default=0.1)
     adv.add_argument("--seed", type=int, default=0)
-    adv.add_argument("--clock-M", dest="clock_M", type=int, default=None)
     adv.add_argument("--out-dir", default=default_out)
     adv.add_argument("--workers", type=int, default=1)
     adv.set_defaults(func=_cmd_adversary)

@@ -147,17 +147,11 @@ def split_conformal(
     return SplitConformal(model=model, radius=kth_smallest(residuals, k))
 
 
-def default_grid(
-    train: Dataset,
-    y_star: float | None = None,
-    resolution: float | None = None,
-) -> GridSpec:
+def default_grid(train: Dataset, resolution: float | None = None) -> GridSpec:
     """Label grid covering the training labels generously.
 
-    Spans mean +/- 5 IQR of the training labels, widened to contain
-    +/- 3 * y_star when a clock adversary is in play (its predictions are
-    0 or 2 * y_star, so the conformal set can live near 2 * y_star). The
-    default resolution divides the span into 2000 steps.
+    Spans mean +/- 5 IQR of the training labels. The default resolution
+    divides the span into 2000 steps.
     """
     labels = train.y
     center = float(np.mean(labels))
@@ -165,9 +159,6 @@ def default_grid(
     if iqr <= 0:
         iqr = max(float(np.std(labels)), 1.0)
     lo, hi = center - 5 * iqr, center + 5 * iqr
-    if y_star is not None:
-        lo = min(lo, -3.0 * y_star)
-        hi = max(hi, 3.0 * y_star)
     if resolution is None:
         resolution = (hi - lo) / 2000.0
     return GridSpec(lo=lo, hi=hi, resolution=resolution)

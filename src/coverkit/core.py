@@ -27,7 +27,6 @@ __all__ = [
     "FoldPartition",
     "order_stat_index",
     "kth_smallest",
-    "kth_largest",
     "plus_bounds",
     "make_folds",
 ]
@@ -118,10 +117,6 @@ class Dataset:
         if len(self) and x.shape[0] != self.d:
             raise ValueError(f"dimension mismatch: expected {self.d}, got {x.shape[0]}")
         return Dataset(np.vstack([self.x, x[None, :]]), np.append(self.y, float(y)))
-
-    def permuted(self, rng: np.random.Generator) -> "Dataset":
-        perm = rng.permutation(len(self))
-        return self.subset(perm)
 
 
 @dataclass(frozen=True)
@@ -255,17 +250,6 @@ class PredictionSet:
             return 0.0
         return float(np.sum(self.intervals[:, 1] - self.intervals[:, 0]))
 
-    def subset_of_open(self, lo: float, hi: float) -> bool:
-        """True iff the set is contained in the open interval (lo, hi).
-
-        The empty set is vacuously contained.
-        """
-        if self.is_empty:
-            return True
-        return bool(
-            np.all(self.intervals[:, 0] > lo) and np.all(self.intervals[:, 1] < hi)
-        )
-
 
 @dataclass(frozen=True)
 class FoldPartition:
@@ -321,14 +305,6 @@ def kth_smallest(values, k: int) -> float:
     if not 1 <= k <= v.size:
         raise ValueError(f"k={k} out of range for {v.size} values")
     return float(np.partition(v, k - 1)[k - 1])
-
-
-def kth_largest(values, k: int) -> float:
-    """k-th largest value (1-based), i.e. the (n-k+1)-th smallest."""
-    v = np.asarray(values, dtype=float).ravel()
-    if not 1 <= k <= v.size:
-        raise ValueError(f"k={k} out of range for {v.size} values")
-    return float(np.partition(v, v.size - k)[v.size - k])
 
 
 def plus_bounds(

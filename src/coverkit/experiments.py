@@ -21,6 +21,7 @@ so a run is reproducible regardless of worker count or scheduling.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import multiprocessing
@@ -99,9 +100,9 @@ class ExperimentConfig:
     methods: tuple[str, ...] = _ALL_METHODS
     ridge_penalty: float = 1e-4
     cv_folds: int = 20
-    clock_M: int | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "methods", tuple(self.methods))
         if min(self.n, self.n_test, self.d, self.trials) < 1:
             raise ValueError("n, n_test, d and trials must all be positive")
         if not 0.0 < self.alpha < 1.0:
@@ -123,8 +124,6 @@ class ExperimentConfig:
                     "the shared-kernel trial engine requires a positive ridge "
                     "penalty"
                 )
-        if self.clock_M is not None and self.clock_M < 2:
-            raise ValueError("clock_M must be at least 2")
 
     @property
     def split_spec(self) -> SplitSpec:
@@ -132,11 +131,10 @@ class ExperimentConfig:
         return SplitSpec(n0=n0, n1=self.n - n0, alpha=self.alpha)
 
     def clock_config(self) -> ClockConfig:
-        """Clock parameters implied by this config (adversary modes)."""
-        M = self.clock_M if self.clock_M is not None else self.n
+        """Clock parameters implied by this config (adversary modes): M = n."""
         return ClockConfig(
-            M=M,
-            M1=compute_M1(self.n, M, self.alpha),
+            M=self.n,
+            M1=compute_M1(self.n, self.n, self.alpha),
             y_star=gaussian_label_quantile(self.n),
         )
 
@@ -171,8 +169,6 @@ class MethodSummary:
     frac_gt_02: float
     frac_gt_099: float  # at or above 0.99, the near-total-collapse marker
     ecdf: tuple[float, ...]  # sorted alpha_hat values; heights are (i+1)/trials
-    hist_counts: tuple[int, ...]
-    hist_edges: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -238,8 +234,6 @@ class _RidgeTrialEngine:
         self.n = len(train)
         self.gram = train.x @ train.x.T
         self.gram_test = test.x @ train.x.T
-        self._full_cache = None
-        self._inverse = None
 
     # -- split -----------------------------------------------------------
     def split(self, spec: SplitSpec) -> tuple[float, float]:
@@ -260,25 +254,27 @@ class _RidgeTrialEngine:
         return miss, 2.0 * radius
 
     # -- shared full-data factorization -----------------------------------
+    @functools.cached_property
     def _full_data(self):
-        if self._full_cache is None:
-            c = self.gram.copy()
-            c[np.diag_indices_from(c)] += self.penalty
-            cho = scipy.linalg.cho_factor(c)
-            dual = scipy.linalg.cho_solve(cho, self.train.y)
-            # rows of b are C^-1 k_t for each test point (C is symmetric)
-            b = scipy.linalg.cho_solve(cho, self.gram_test.T).T
-            # G = C^-1 itself serves cv+ only, which releases it
-            self._inverse = scipy.linalg.cho_solve(cho, np.eye(self.n))
-            self._full_cache = (dual, b, np.diag(self._inverse).copy())
-        return self._full_cache
+        """The full-data fit, computed once per trial: (dual, b, G, test_pred).
+
+        dual = C^-1 y, row t of b is C^-1 k_t, G = C^-1 and test_pred holds
+        the full-data predictions k_t @ dual.
+        """
+        c = self.gram.copy()
+        c[np.diag_indices_from(c)] += self.penalty
+        cho = scipy.linalg.cho_factor(c)
+        dual = scipy.linalg.cho_solve(cho, self.train.y)
+        # rows of b are C^-1 k_t for each test point (C is symmetric)
+        b = scipy.linalg.cho_solve(cho, self.gram_test.T).T
+        inverse = scipy.linalg.cho_solve(cho, np.eye(self.n))
+        return dual, b, inverse, self.gram_test @ dual
 
     # -- jackknife+ --------------------------------------------------------
     def jackknife(self) -> tuple[float, float]:
-        dual, b, c_inv_diag = self._full_data()
-        loo_shift = dual / c_inv_diag  # y_i - mu_{-i}(x_i), exactly
+        dual, b, inverse, test_pred = self._full_data
+        loo_shift = dual / np.diag(inverse)  # y_i - mu_{-i}(x_i), exactly
         residuals = np.abs(loo_shift)
-        test_pred = self.gram_test @ dual
         # mu_{-i}(x_t) = test prediction minus the downdate along C^-1 k_t
         mu_loo = test_pred[:, None] - b * loo_shift[None, :]
         lower, upper = plus_bounds(mu_loo, residuals, self.alpha)
@@ -294,14 +290,10 @@ class _RidgeTrialEngine:
         Pattern Recognition 40(8)): one m x m solve per fold instead of a
         refit. With singleton folds it is the jackknife+ downdate.
         """
-        if self._inverse is None:  # released by an earlier cv call
-            self._full_cache = None
-        dual, b, _ = self._full_data()
-        inverse, self._inverse = self._inverse, None
+        dual, b, inverse, test_pred = self._full_data
         held = np.stack([folds.fold_indices(fold) for fold in range(folds.K)])
         blocks = inverse[held[:, :, None], held[:, None, :]]
         shifts = np.linalg.solve(blocks, dual[held][:, :, None])[:, :, 0]
-        test_pred = self.gram_test @ dual
         mu_fold = np.stack(
             [test_pred - b[:, h] @ shift for h, shift in zip(held, shifts)], axis=1
         )
@@ -321,8 +313,7 @@ class _RidgeTrialEngine:
         residual a0[t] + b0[t] * y. Coefficients are built per chunk of
         test points, so no (n_test, n) array beyond b is held.
         """
-        dual, b, _ = self._full_data()
-        test_pred = self.gram_test @ dual
+        dual, b, _, test_pred = self._full_data
         self_gram = np.einsum("ij,ij->i", self.test.x, self.test.x) + self.penalty
         schur = self_gram - np.einsum("ij,ij->i", self.gram_test, b)
         lam = self.penalty
@@ -444,7 +435,7 @@ def run_trials(config: ExperimentConfig, workers: int = 1) -> list[TrialRecord]:
     return [record for per_trial in nested for record in per_trial]
 
 
-def summarize(records: Sequence[TrialRecord], hist_bins: int = 20) -> SummaryReport:
+def summarize(records: Sequence[TrialRecord]) -> SummaryReport:
     """Aggregate alpha_hat per (method, d): moments, tail fractions, ECDF."""
     if not records:
         raise ValueError("no records to summarize")
@@ -455,7 +446,6 @@ def summarize(records: Sequence[TrialRecord], hist_bins: int = 20) -> SummaryRep
     for (method, d), recs in sorted(groups.items()):
         alpha = recs[0].alpha
         values = np.array([r.alpha_hat for r in recs])
-        counts, edges = np.histogram(values, bins=hist_bins, range=(0.0, 1.0))
         entries.append(
             MethodSummary(
                 method=method,
@@ -469,8 +459,6 @@ def summarize(records: Sequence[TrialRecord], hist_bins: int = 20) -> SummaryRep
                 frac_gt_02=float(np.mean(values > 0.2)),
                 frac_gt_099=float(np.mean(values >= 0.99)),
                 ecdf=tuple(np.sort(values).tolist()),
-                hist_counts=tuple(int(c) for c in counts),
-                hist_edges=tuple(edges.tolist()),
             )
         )
     return SummaryReport(entries=tuple(entries))

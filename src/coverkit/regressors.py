@@ -31,7 +31,6 @@ __all__ = [
     "constant_fit",
     "constant_algorithm",
     "uniform_cell_map",
-    "clock_index",
     "adversary_full_fit",
     "adversary_jackknife_fit",
     "adversary_full_algorithm",
@@ -172,11 +171,6 @@ class ClockConfig:
             raise ValueError("y_star must be a positive real")
         if self.cell_map is None:
             object.__setattr__(self, "cell_map", uniform_cell_map(self.M))
-
-
-def clock_index(x, config: ClockConfig) -> np.ndarray:
-    """Cell index of a feature vector (or batch) under the clock partition."""
-    return config.cell_map(np.asarray(x, dtype=float))
 
 
 def _two_valued_model(

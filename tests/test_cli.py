@@ -125,19 +125,23 @@ class TestSimulateCommand:
         capsys.readouterr()
 
     def test_config_file_equals_flags(self, capsys, tmp_path):
+        from coverkit.cli import _CONFIG_KEYS
+
+        lines = [
+            "mode = ridge_sim",
+            "n = 20",
+            "n_test = 40",
+            "dims = 4",
+            "alpha = 0.1",
+            "trials = 3",
+            "methods = split, jackknife+",
+            "ridge_penalty = 1e-4",
+            "cv_folds = 2",
+            "master_seed = 5",
+        ]
+        assert {line.split(" =")[0] for line in lines} == set(_CONFIG_KEYS)
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(
-            "# tiny run\n"
-            "mode = ridge_sim\n"
-            "n = 20\n"
-            "n_test = 40\n"
-            "dims = 4\n"
-            "alpha = 0.1\n"
-            "trials = 3\n"
-            "methods = split,jackknife+\n"
-            "cv_folds = 2\n"
-            "master_seed = 5\n"
-        )
+        cfg.write_text("# tiny run\n" + "\n".join(lines) + "\n")
         dir_a, dir_b = tmp_path / "a", tmp_path / "b"
         dir_a.mkdir(), dir_b.mkdir()
         code_a, _, _ = _run(
@@ -158,6 +162,64 @@ class TestSimulateCommand:
             capsys, ["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)]
         )
         assert code == 2 and "unknown config keys" in err
+
+    def test_removed_d_key_exit_2(self, capsys, tmp_path):
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text("n = 20\nn_test = 40\nalpha = 0.1\ntrials = 2\nd = 4\n")
+        code, _, err = _run(
+            capsys, ["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)]
+        )
+        assert code == 2 and "unknown config keys: ['d']" in err
+
+    def test_unknown_mode_exit_2(self, capsys, tmp_path):
+        code, _, err = _run(
+            capsys, ["simulate", *TINY, "--mode", "bogus", "--out-dir", str(tmp_path)]
+        )
+        assert code == 2
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_manifest_with_string_methods_replays(self, capsys, tmp_path):
+        # version 0.3.0 stored methods as one comma-separated string
+        dir_a, dir_b = tmp_path / "a", tmp_path / "b"
+        dir_a.mkdir(), dir_b.mkdir()
+        code, _, _ = _run(capsys, ["simulate", *TINY, "--out-dir", str(dir_a)])
+        assert code == 0
+        manifest = json.loads((dir_a / "manifest.json").read_text())
+        assert manifest["config"]["methods"] == ["split", "full", "jackknife+", "cv+"]
+        manifest["config"]["methods"] = "split,full,jackknife+,cv+"
+        old = tmp_path / "old-manifest.json"
+        old.write_text(json.dumps(manifest))
+        code, _, _ = _run(
+            capsys,
+            ["simulate", "--from-manifest", str(old), "--out-dir", str(dir_b)],
+        )
+        assert code == 0
+        for name in ("trials.csv", "summary.csv", "summary.json"):
+            assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes(), name
+
+    def test_adversary_manifest_with_null_key_replays(self, capsys, tmp_path):
+        # version 0.3.0 wrote "clock_M": null into every adversary manifest
+        code, _, _ = _run(
+            capsys,
+            ["adversary", "--method", "jk", "--n", "100", "--trials", "3",
+             "--n-test", "10", "--alpha", "0.5", "--out-dir", str(tmp_path)],
+        )
+        assert code == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest["config"]["clock_M"] = None
+        old = tmp_path / "old-manifest.json"
+        old.write_text(json.dumps(manifest))
+        replay = tmp_path / "replay"
+        replay.mkdir()
+        code, _, _ = _run(
+            capsys,
+            ["simulate", "--from-manifest", str(old), "--out-dir", str(replay)],
+        )
+        assert code == 0
+        assert (replay / "trials.csv").read_bytes() == (
+            tmp_path / "adversary_trials.csv"
+        ).read_bytes()
 
     def test_rerun_from_manifest_byte_identical(self, capsys, tmp_path):
         dir_a, dir_b = tmp_path / "a", tmp_path / "b"

@@ -110,8 +110,6 @@ class TestFullConformalGrid:
         train = _dataset([-5.0, 0.0, 5.0, 10.0])
         grid = default_grid(train)
         assert grid.lo < -5 and grid.hi > 10
-        widened = default_grid(train, y_star=20.0)
-        assert widened.lo <= -60 and widened.hi >= 60
 
 
 class TestFullConformalRidgeExact:

@@ -340,11 +340,6 @@ class TestSummarize:
         assert entry.mean == pytest.approx(0.1)
         assert entry.ecdf == (0.0, 0.2)
 
-    def test_histogram_sums_to_trials(self):
-        records = [self._record(v, trial=i) for i, v in enumerate(np.linspace(0, 1, 37))]
-        entry = summarize(records).entries[0]
-        assert sum(entry.hist_counts) == 37
-
     def test_groups_by_method_and_d(self):
         records = [
             self._record(0.1, method="split", d=5),

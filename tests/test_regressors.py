@@ -8,7 +8,6 @@ from coverkit.regressors import (
     RidgeConfig,
     adversary_full_fit,
     adversary_jackknife_fit,
-    clock_index,
     constant_fit,
     ridge_fit,
     uniform_cell_map,
@@ -105,13 +104,13 @@ class TestConstant:
 class TestClockIndex:
     def test_examples(self):
         cfg = ClockConfig(M=10, M1=2, y_star=1.0)
-        assert clock_index(np.array([0.42]), cfg) == 4
-        assert clock_index(np.array([1.0]), cfg) == 9  # boundary clamp
-        assert clock_index(np.array([0.0]), cfg) == 0
+        assert cfg.cell_map(np.array([0.42])) == 4
+        assert cfg.cell_map(np.array([1.0])) == 9  # boundary clamp
+        assert cfg.cell_map(np.array([0.0])) == 0
 
     def test_batch(self):
         cfg = ClockConfig(M=5, M1=1, y_star=1.0)
-        got = clock_index(np.array([[0.0], [0.5], [0.99]]), cfg)
+        got = cfg.cell_map(np.array([[0.0], [0.5], [0.99]]))
         assert got.tolist() == [0, 2, 4]
 
     def test_uniformity_chi_squared(self):
@@ -164,7 +163,7 @@ class TestAdversaryFits:
         for fit in (adversary_full_fit, adversary_jackknife_fit):
             base = fit(data, cfg)(probes)
             for _ in range(5):
-                permuted = fit(data.permuted(rng), cfg)(probes)
+                permuted = fit(data.subset(rng.permutation(len(data))), cfg)(probes)
                 assert np.array_equal(base, permuted)
 
     def test_outputs_two_valued(self):
