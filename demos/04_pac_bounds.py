@@ -4,7 +4,6 @@ Run:  python demos/04_pac_bounds.py
 """
 
 from coverkit import (
-    INFEASIBLE,
     adversarial_floor,
     corrected_alpha_split,
     cvplus_pac_bound,
@@ -23,7 +22,7 @@ for n1 in (25, 100, 250, 1000, 10_000):
 print("\nholdout size needed before a corrected level alpha' is even feasible:")
 for n1 in (10, 100, 250, 1000):
     corrected = corrected_alpha_split(alpha, delta, n1)
-    shown = "INFEASIBLE" if corrected is INFEASIBLE else f"{corrected:.4f}"
+    shown = "INFEASIBLE" if corrected is None else f"{corrected:.4f}"
     print(f"  n1 = {n1:>6}: alpha' = {shown}")
 
 print("\ncv+: miscoverage <= 2 alpha + sqrt(2 ln(K/delta) / m) w.p. >= 1 - delta")

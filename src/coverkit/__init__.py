@@ -3,7 +3,7 @@ coverage: split/full conformal, jackknife+, cv+, PAC bound calculators,
 coverage-collapse counterexamples, and a reproducible simulation harness.
 """
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .adversary import (
     EventReport,
@@ -16,7 +16,6 @@ from .adversary import (
     event_rates_montecarlo,
 )
 from .bounds import (
-    INFEASIBLE,
     AdversarialFloor,
     adversarial_floor,
     corrected_alpha_split,
@@ -25,9 +24,7 @@ from .bounds import (
 )
 from .conformal import (
     GridSpec,
-    HoldoutPValue,
     SplitConformal,
-    SplitSpec,
     cv_plus,
     cv_plus_bounds,
     default_grid,
@@ -40,7 +37,6 @@ from .conformal import (
     split_conformal,
 )
 from .core import (
-    OVERFLOW,
     Dataset,
     FittedModel,
     FoldPartition,

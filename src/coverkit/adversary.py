@@ -23,7 +23,7 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .core import OVERFLOW, Dataset, derive_rng, order_stat_index, plus_bounds
+from .core import Dataset, derive_rng, order_stat_index, plus_bounds
 from .regressors import ClockConfig
 
 __all__ = [
@@ -82,11 +82,6 @@ def compute_M1(n: int, M: int, alpha: float) -> int:
     return max(0, math.floor(M * inner))
 
 
-def _required_count(n: int, alpha: float) -> int:
-    k = order_stat_index(n, alpha)
-    return (n + 1) if k is OVERFLOW else k
-
-
 def _window_min_count(cells: np.ndarray, M: int, M1: int) -> int:
     """min over all rotations of the circular (M - M1)-cell window count.
 
@@ -112,7 +107,7 @@ def check_events(train: Dataset, config: ClockConfig, alpha: float) -> EventRepo
     n = len(train)
     e_max = bool(np.max(np.abs(train.y)) < config.y_star) if n else True
     e_mod = int(cells.sum()) % config.M < config.M1
-    need = _required_count(n, alpha)
+    need = order_stat_index(n, alpha)
     e_unif = _window_min_count(cells, config.M, config.M1) >= need
     return EventReport(e_max=e_max, e_mod=e_mod, e_unif=e_unif)
 
@@ -134,7 +129,7 @@ def adversary_full_bounds(
     n = len(train)
     m = probe_cells.size
     k = order_stat_index(n, alpha)
-    if k is OVERFLOW:
+    if k > n:
         return np.full(m, -np.inf), np.full(m, np.inf)
     total = int(cells.sum())
     center = 2.0 * y_star if total % M < M1 else 0.0

@@ -12,21 +12,13 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .core import _Sentinel
-
 __all__ = [
-    "INFEASIBLE",
     "AdversarialFloor",
     "split_pac_bound",
     "cvplus_pac_bound",
     "adversarial_floor",
     "corrected_alpha_split",
 ]
-
-
-#: Returned by :func:`corrected_alpha_split` when the requested correction
-#: would push the level to zero or below.
-INFEASIBLE = _Sentinel(__name__, "INFEASIBLE")
 
 
 def _check_level(name: str, value: float) -> None:
@@ -99,14 +91,11 @@ def adversarial_floor(alpha: float, n: int) -> AdversarialFloor:
     return AdversarialFloor(value=value, vacuous=value <= 0.0)
 
 
-def corrected_alpha_split(alpha: float, delta: float, n1: int):
+def corrected_alpha_split(alpha: float, delta: float, n1: int) -> float | None:
     """Level to run split conformal at so miscoverage <= alpha w.p. >= 1 - delta.
 
-    Returns alpha - sqrt(ln(1/delta) / (2 n1)) when positive, otherwise the
-    :data:`INFEASIBLE` sentinel (the holdout is too small for the requested
-    confidence).
+    Returns alpha - sqrt(ln(1/delta) / (2 n1)) when positive, otherwise None
+    (the holdout is too small for the requested confidence).
     """
     corrected = alpha - (split_pac_bound(alpha, delta, n1) - alpha)
-    if corrected <= 0.0:
-        return INFEASIBLE
-    return corrected
+    return corrected if corrected > 0.0 else None

@@ -34,7 +34,6 @@ import scipy
 
 from . import __version__
 from .bounds import (
-    INFEASIBLE,
     adversarial_floor,
     corrected_alpha_split,
     cvplus_pac_bound,
@@ -94,6 +93,15 @@ PRESETS: dict[str, dict] = {
     },
 }
 
+# `coverkit adversary`: one clock run at d = 1; --n has no default
+_ADVERSARY_DEFAULTS = {
+    "n_test": 1000,
+    "dims": [1],
+    "alpha": 0.1,
+    "trials": 500,
+    "master_seed": 0,
+}
+
 
 class ConfigError(Exception):
     """Invalid configuration: maps to exit code 2."""
@@ -107,8 +115,8 @@ def _name_list(text: str) -> list[str]:
     return [name.strip() for name in text.split(",") if name.strip()]
 
 
-# config key -> (simulate flag, parser of a flag or config-file string); the
-# keys are ExperimentConfig's fields, with "dims" (one config per d) for "d"
+# config key -> (flag, parser of a flag or config-file string); the keys are
+# ExperimentConfig's fields, with "dims" (one config per d) for "d"
 _CONFIG_KEYS = {
     "mode": ("--mode", str),
     "n": ("--n", int),
@@ -138,23 +146,26 @@ def _parse_config_file(path: str) -> dict:
     return values
 
 
-def _resolve_simulate_config(args) -> dict:
+def _base_config(args) -> dict:
+    """The config ``simulate`` starts from, before its flags override it."""
     if args.from_manifest:
         try:
-            raw = RunManifest.load_config(args.from_manifest)
+            return RunManifest.load_config(args.from_manifest)
         except OSError as exc:
             raise ConfigError(f"cannot read manifest: {exc}") from exc
-    elif args.preset:
-        raw = dict(PRESETS[args.preset])
-    elif args.config:
-        raw = _parse_config_file(args.config)
-    else:
-        raw = dict(PRESETS["smoke"])
+    if args.preset:
+        return PRESETS[args.preset]
+    if args.config:
+        return _parse_config_file(args.config)
+    return PRESETS["smoke"]
 
+
+def _resolve_config(base: dict, args) -> dict:
+    """``base`` with the config flags set in ``args`` applied, checked and parsed."""
     # a null value (an unset key of an older manifest) counts as absent
-    raw = {key: value for key, value in raw.items() if value is not None}
+    raw = {key: value for key, value in base.items() if value is not None}
     for key in _CONFIG_KEYS:
-        if getattr(args, key) is not None:
+        if getattr(args, key, None) is not None:
             raw[key] = getattr(args, key)
     unknown = set(raw) - set(_CONFIG_KEYS)
     if unknown:
@@ -282,7 +293,7 @@ def _now() -> str:
 
 
 def _cmd_simulate(args) -> int:
-    resolved = _resolve_simulate_config(args)
+    resolved = _resolve_config(_base_config(args), args)
     configs = _experiment_configs(resolved)
 
     outputs = {
@@ -323,15 +334,7 @@ def _cmd_adversary(args) -> int:
     if args.method not in ("full", "jk"):
         raise ConfigError(f"method must be 'full' or 'jk', got {args.method!r}")
     mode = ADVERSARY_FULL if args.method == "full" else ADVERSARY_JK
-    resolved = {
-        "mode": mode,
-        "n": args.n,
-        "n_test": args.n_test,
-        "dims": [1],
-        "alpha": args.alpha,
-        "trials": args.trials,
-        "master_seed": args.seed,
-    }
+    resolved = _resolve_config({**_ADVERSARY_DEFAULTS, "mode": mode}, args)
     (config,) = _experiment_configs(resolved)
     clock = config.clock_config()
     if clock.M1 == 0:
@@ -380,7 +383,7 @@ _BOUNDS = {
     ),
     "corrected": (
         "corrected_alpha_split", ("delta", "n1"), corrected_alpha_split,
-        lambda c: (None, "INFEASIBLE") if c is INFEASIBLE else (c, ""),
+        lambda c: (c, "INFEASIBLE" if c is None else ""),
     ),
 }
 
@@ -429,6 +432,12 @@ def _cmd_bounds(args) -> int:
     return _EXIT_OK
 
 
+def _add_config_flags(parser: argparse.ArgumentParser, keys) -> None:
+    for key in keys:
+        flag, parse = _CONFIG_KEYS[key]
+        parser.add_argument(flag, dest=key, type=parse, help=f"sets config key {key}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coverkit",
@@ -447,17 +456,12 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="re-run the configuration stored in a manifest")
     sim.add_argument("--out-dir", default=default_out)
     sim.add_argument("--workers", type=int, default=1)
-    for key, (flag, parse) in _CONFIG_KEYS.items():
-        sim.add_argument(flag, dest=key, type=parse, help=f"sets config key {key}")
+    _add_config_flags(sim, _CONFIG_KEYS)
     sim.set_defaults(func=_cmd_simulate)
 
     adv = sub.add_parser("adversary", help="clock-algorithm demonstration")
     adv.add_argument("--method", required=True, help="'full' or 'jk'")
-    adv.add_argument("--n", type=int, required=True)
-    adv.add_argument("--trials", type=int, default=500)
-    adv.add_argument("--n-test", dest="n_test", type=int, default=1000)
-    adv.add_argument("--alpha", type=float, default=0.1)
-    adv.add_argument("--seed", type=int, default=0)
+    _add_config_flags(adv, ("n", "n_test", "alpha", "trials", "master_seed"))
     adv.add_argument("--out-dir", default=default_out)
     adv.add_argument("--workers", type=int, default=1)
     adv.set_defaults(func=_cmd_adversary)

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    OVERFLOW,
     Dataset,
     FittedModel,
     FoldPartition,
@@ -36,9 +35,7 @@ from .core import (
 from .regressors import RidgeConfig, _ridge_coefficients
 
 __all__ = [
-    "SplitSpec",
     "GridSpec",
-    "HoldoutPValue",
     "SplitConformal",
     "split_conformal",
     "default_grid",
@@ -53,25 +50,6 @@ __all__ = [
     "holdout_pvalue",
     "oracle_pvalue",
 ]
-
-
-@dataclass(frozen=True)
-class SplitSpec:
-    """Sizes and level for a split-conformal run: n0 train, n1 holdout."""
-
-    n0: int
-    n1: int
-    alpha: float
-
-    def __post_init__(self):
-        if self.n0 < 1 or self.n1 < 1:
-            raise ValueError("both the training and holdout parts need >= 1 points")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie strictly in (0, 1)")
-
-    @property
-    def n(self) -> int:
-        return self.n0 + self.n1
 
 
 @dataclass(frozen=True)
@@ -93,17 +71,6 @@ class GridSpec:
     def values(self) -> np.ndarray:
         n_steps = int(round((self.hi - self.lo) / self.resolution))
         return self.lo + self.resolution * np.arange(n_steps + 1)
-
-
-@dataclass(frozen=True)
-class HoldoutPValue:
-    """Fraction of holdout residuals at least as large as the query residual."""
-
-    value: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.value <= 1.0:
-            raise ValueError("p-value must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -142,16 +109,15 @@ def split_conformal(
     model = algo.fit(train, seed)
     residuals = np.abs(holdout.y - np.asarray(model(holdout.x)))
     k = order_stat_index(len(holdout), alpha)
-    if k is OVERFLOW:
+    if k > len(holdout):
         return SplitConformal(model=model, radius=math.inf)
     return SplitConformal(model=model, radius=kth_smallest(residuals, k))
 
 
-def default_grid(train: Dataset, resolution: float | None = None) -> GridSpec:
+def default_grid(train: Dataset) -> GridSpec:
     """Label grid covering the training labels generously.
 
-    Spans mean +/- 5 IQR of the training labels. The default resolution
-    divides the span into 2000 steps.
+    Spans mean +/- 5 IQR of the training labels in 2000 steps.
     """
     labels = train.y
     center = float(np.mean(labels))
@@ -159,9 +125,7 @@ def default_grid(train: Dataset, resolution: float | None = None) -> GridSpec:
     if iqr <= 0:
         iqr = max(float(np.std(labels)), 1.0)
     lo, hi = center - 5 * iqr, center + 5 * iqr
-    if resolution is None:
-        resolution = (hi - lo) / 2000.0
-    return GridSpec(lo=lo, hi=hi, resolution=resolution)
+    return GridSpec(lo=lo, hi=hi, resolution=(hi - lo) / 2000.0)
 
 
 def full_conformal_grid(
@@ -201,7 +165,7 @@ def full_conformal_grid(
 
     n = len(train)
     k = order_stat_index(n, alpha)
-    if k is OVERFLOW:
+    if k > n:
         # rank n+1 of n+1 residuals: every candidate label qualifies
         return PredictionSet.real_line()
 
@@ -279,7 +243,7 @@ def affine_conformal_sets(a, b, a0, b0, alpha: float) -> PredictionSetBatch:
     a0, b0 = np.atleast_1d(a0)[:, None], np.atleast_1d(b0)[:, None]
     m, n = a.shape
     k = order_stat_index(n, alpha)
-    if k is OVERFLOW:
+    if k > n:
         whole = np.arange(m)
         return PredictionSetBatch(np.full(m, -np.inf), np.full(m, np.inf), whole, m)
     d_minus, d_plus = b - b0, b + b0
@@ -444,7 +408,7 @@ def cv_plus(
     return PredictionSet.interval(float(lower[0]), float(upper[0]))
 
 
-def holdout_pvalue(holdout_residuals, model: FittedModel, x, y: float) -> HoldoutPValue:
+def holdout_pvalue(holdout_residuals, model: FittedModel, x, y: float) -> float:
     """Empirical p-value: share of holdout residuals >= |y - model(x)|.
 
     Ties count as qualifying, matching the right-tail definition.
@@ -453,7 +417,7 @@ def holdout_pvalue(holdout_residuals, model: FittedModel, x, y: float) -> Holdou
     if residuals.size == 0:
         raise ValueError("holdout residuals must be nonempty")
     threshold = abs(float(y) - float(model(np.atleast_1d(x))))
-    return HoldoutPValue(float(np.mean(residuals >= threshold)))
+    return float(np.mean(residuals >= threshold))
 
 
 def oracle_pvalue(model: FittedModel, oracle_sample: Dataset, x, y: float) -> float:

@@ -11,15 +11,13 @@ concurrent workers; all operations are pure functions.
 
 from __future__ import annotations
 
-import importlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 __all__ = [
-    "OVERFLOW",
     "Dataset",
     "FittedModel",
     "RegressionAlgorithm",
@@ -34,37 +32,6 @@ __all__ = [
 # Absorbs binary representation error of decimal levels (e.g. alpha=0.1) in
 # (1-alpha)*(n+1); far below any legitimate fractional part.
 _CEIL_EPS = 1e-9
-
-
-class _Sentinel:
-    """A falsy named constant, bound to ``name`` in ``module``.
-
-    Callers test it by identity, so a copy or an unpickled value resolves
-    to that module attribute rather than to a new instance.
-    """
-
-    __slots__ = ("_module", "_name")
-
-    def __init__(self, module: str, name: str):
-        self._module, self._name = module, name
-
-    def __repr__(self) -> str:
-        return self._name
-
-    def __bool__(self) -> bool:
-        return False
-
-    def __reduce__(self):
-        return _named_constant, (self._module, self._name)
-
-
-def _named_constant(module: str, name: str):
-    return getattr(importlib.import_module(module), name)
-
-
-#: Returned by :func:`order_stat_index` when ceil((1-alpha)(n+1)) > n.
-#: Callers interpret it as a +infinity quantile (full-line prediction set).
-OVERFLOW = _Sentinel(__name__, "OVERFLOW")
 
 
 @dataclass(frozen=True)
@@ -129,7 +96,6 @@ class FittedModel:
     """
 
     predict: Callable[[np.ndarray], np.ndarray]
-    label: str = "model"
 
     def __call__(self, x) -> np.ndarray:
         return self.predict(np.asarray(x, dtype=float))
@@ -257,7 +223,6 @@ class FoldPartition:
 
     assignments: np.ndarray
     K: int
-    m: int = field(default=0)
 
     def __post_init__(self):
         a = np.asarray(self.assignments, dtype=int)
@@ -271,32 +236,34 @@ class FoldPartition:
         if counts.shape[0] != self.K or np.any(counts != m):
             raise ValueError("every fold must contain exactly n/K indices")
         object.__setattr__(self, "assignments", a)
-        object.__setattr__(self, "m", m)
 
     @property
     def n(self) -> int:
         return self.assignments.shape[0]
 
+    @property
+    def m(self) -> int:
+        """Fold size n / K."""
+        return self.n // self.K
+
     def fold_indices(self, k: int) -> np.ndarray:
         return np.flatnonzero(self.assignments == k)
 
 
-def order_stat_index(n_items: int, alpha: float):
+def order_stat_index(n_items: int, alpha: float) -> int:
     """Rank ceil((1-alpha)(n_items+1)) of the conformal quantile, 1-based.
 
-    Returns :data:`OVERFLOW` when the rank exceeds ``n_items``; callers
-    treat that as a +infinity quantile (full-line prediction set). The
-    small epsilon compensates for the binary representation of decimal
-    alpha values, so e.g. (n_items=9, alpha=0.1) gives 9, not 10.
+    The rank is at most ``n_items + 1``; a rank above ``n_items`` means a
+    +infinity quantile (full-line prediction set), which callers test as
+    ``k > n_items``. The small epsilon compensates for the binary
+    representation of decimal alpha values, so e.g. (n_items=9, alpha=0.1)
+    gives 9, not 10.
     """
     if n_items < 1:
         raise ValueError("n_items must be >= 1")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha}")
-    k = math.ceil((1.0 - alpha) * (n_items + 1) - _CEIL_EPS)
-    if k > n_items:
-        return OVERFLOW
-    return max(k, 1)
+    return max(math.ceil((1.0 - alpha) * (n_items + 1) - _CEIL_EPS), 1)
 
 
 def kth_smallest(values, k: int) -> float:
@@ -321,7 +288,7 @@ def plus_bounds(
     """
     m, n = mu.shape
     k = order_stat_index(n, alpha)
-    if k is OVERFLOW:
+    if k > n:
         return np.full(m, -np.inf), np.full(m, np.inf)
     lower = np.partition(mu - residuals, n - k, axis=1)[:, n - k]
     upper = np.partition(mu + residuals, k - 1, axis=1)[:, k - 1]

@@ -41,15 +41,8 @@ from .adversary import (
     default_clock_sampler,
     gaussian_label_quantile,
 )
-from .conformal import SplitSpec, affine_conformal_sets
-from .core import (
-    OVERFLOW,
-    Dataset,
-    derive_rng,
-    make_folds,
-    order_stat_index,
-    plus_bounds,
-)
+from .conformal import affine_conformal_sets
+from .core import Dataset, derive_rng, make_folds, order_stat_index, plus_bounds
 from .regressors import ClockConfig
 
 __all__ = [
@@ -109,7 +102,12 @@ class ExperimentConfig:
             raise ValueError("alpha must lie strictly in (0, 1)")
         if self.mode not in (RIDGE_SIM, ADVERSARY_FULL, ADVERSARY_JK):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.mode != RIDGE_SIM and self.d != 1:
+            # the clock sampler draws one-dimensional features
+            raise ValueError(f"the clock modes need d = 1, got d={self.d}")
         if self.mode == RIDGE_SIM:
+            if self.n < 2:
+                raise ValueError("the ridge simulation needs n >= 2 to split")
             unknown = set(self.methods) - set(_ALL_METHODS)
             if unknown:
                 raise ValueError(f"unknown methods: {sorted(unknown)}")
@@ -124,11 +122,6 @@ class ExperimentConfig:
                     "the shared-kernel trial engine requires a positive ridge "
                     "penalty"
                 )
-
-    @property
-    def split_spec(self) -> SplitSpec:
-        n0 = self.n // 2
-        return SplitSpec(n0=n0, n1=self.n - n0, alpha=self.alpha)
 
     def clock_config(self) -> ClockConfig:
         """Clock parameters implied by this config (adversary modes): M = n."""
@@ -236,8 +229,9 @@ class _RidgeTrialEngine:
         self.gram_test = test.x @ train.x.T
 
     # -- split -----------------------------------------------------------
-    def split(self, spec: SplitSpec) -> tuple[float, float]:
-        n0, n1 = spec.n0, spec.n1
+    def split(self, n0: int) -> tuple[float, float]:
+        """Train on the first n0 points, calibrate on the other n - n0."""
+        n1 = self.n - n0
         c0 = self.gram[:n0, :n0].copy()
         c0[np.diag_indices_from(c0)] += self.penalty
         alpha_hat = scipy.linalg.cho_solve(
@@ -246,7 +240,7 @@ class _RidgeTrialEngine:
         holdout_pred = self.gram[n0:, :n0] @ alpha_hat
         residuals = np.abs(self.train.y[n0:] - holdout_pred)
         k = order_stat_index(n1, self.alpha)
-        if k is OVERFLOW:
+        if k > n1:
             return 0.0, math.inf
         radius = float(np.partition(residuals, k - 1)[k - 1])
         test_pred = self.gram_test[:, :n0] @ alpha_hat
@@ -346,7 +340,7 @@ def _ridge_trial(config: ExperimentConfig, trial: int) -> list[TrialRecord]:
     records = []
     for method in config.methods:
         if method == METHOD_SPLIT:
-            miss, width = engine.split(config.split_spec)
+            miss, width = engine.split(config.n // 2)
         elif method == METHOD_JACKKNIFE:
             miss, width = engine.jackknife()
         elif method == METHOD_CV:

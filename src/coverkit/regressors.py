@@ -72,14 +72,14 @@ def _ridge_coefficients(x: np.ndarray, y: np.ndarray, penalty: float) -> np.ndar
     return x.T @ scipy.linalg.solve(kernel, y, assume_a="pos")
 
 
-def _linear_model(beta: np.ndarray, label: str) -> FittedModel:
+def _linear_model(beta: np.ndarray) -> FittedModel:
     def predict(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
             return float(x @ beta)
         return x @ beta
 
-    return FittedModel(predict=predict, label=label)
+    return FittedModel(predict=predict)
 
 
 def ridge_fit(data: Dataset, config: RidgeConfig) -> FittedModel:
@@ -93,7 +93,7 @@ def ridge_fit(data: Dataset, config: RidgeConfig) -> FittedModel:
     if len(data) == 0:
         raise ValueError("ridge requires a nonempty dataset")
     beta = _ridge_coefficients(data.x, data.y, config.penalty)
-    return _linear_model(beta, f"ridge(penalty={config.penalty:g})")
+    return _linear_model(beta)
 
 
 def ridge_algorithm(config: RidgeConfig) -> RegressionAlgorithm:
@@ -116,7 +116,7 @@ def constant_fit(data: Dataset, c: float) -> FittedModel:
             return c
         return np.full(x.shape[0], c)
 
-    return FittedModel(predict=predict, label=f"constant({c:g})")
+    return FittedModel(predict=predict)
 
 
 def constant_algorithm(c: float) -> RegressionAlgorithm:
@@ -174,7 +174,7 @@ class ClockConfig:
 
 
 def _two_valued_model(
-    config: ClockConfig, cell_sum: int, low_when_true: bool, label: str
+    config: ClockConfig, cell_sum: int, low_when_true: bool
 ) -> FittedModel:
     M, M1, two_y_star = config.M, config.M1, 2.0 * config.y_star
     cell_map = config.cell_map
@@ -191,7 +191,7 @@ def _two_valued_model(
             return float(out)
         return out
 
-    return FittedModel(predict=predict, label=label)
+    return FittedModel(predict=predict)
 
 
 def adversary_full_fit(data: Dataset, config: ClockConfig) -> FittedModel:
@@ -203,9 +203,7 @@ def adversary_full_fit(data: Dataset, config: ClockConfig) -> FittedModel:
     indices, hence symmetric; labels are ignored entirely.
     """
     cell_sum = int(np.sum(config.cell_map(data.x))) if len(data) else 0
-    return _two_valued_model(
-        config, cell_sum, low_when_true=False, label="clock-full"
-    )
+    return _two_valued_model(config, cell_sum, low_when_true=False)
 
 
 def adversary_jackknife_fit(data: Dataset, config: ClockConfig) -> FittedModel:
@@ -216,7 +214,7 @@ def adversary_jackknife_fit(data: Dataset, config: ClockConfig) -> FittedModel:
     for the same reason as the full-conformal variant.
     """
     cell_sum = int(np.sum(config.cell_map(data.x))) if len(data) else 0
-    return _two_valued_model(config, cell_sum, low_when_true=True, label="clock-jk")
+    return _two_valued_model(config, cell_sum, low_when_true=True)
 
 
 def adversary_full_algorithm(config: ClockConfig) -> RegressionAlgorithm:

@@ -3,10 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from coverkit import Dataset, check_events, collapse_check, compute_M1, dkw_statistic
+from coverkit import (
+    Dataset,
+    check_events,
+    collapse_check,
+    compute_M1,
+    dkw_statistic,
+    order_stat_index,
+)
 from coverkit.adversary import (
     EventRates,
-    _required_count,
     _window_min_count,
     adversary_full_bounds,
     adversary_jackknife_bounds,
@@ -94,7 +100,7 @@ class TestCheckEvents:
             M1 = int(rng.integers(0, M))
             alpha = float(rng.uniform(0.05, 0.6))
             cells = rng.integers(0, M, n)
-            need = _required_count(n, alpha)
+            need = order_stat_index(n, alpha)
             fast = _window_min_count(cells, M, M1) >= need
             assert fast == naive(cells, M, M1, need)
 

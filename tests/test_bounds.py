@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 
 from coverkit.bounds import (
-    INFEASIBLE,
     adversarial_floor,
     corrected_alpha_split,
     cvplus_pac_bound,
@@ -92,8 +91,7 @@ class TestCorrectedAlphaSplit:
         )
 
     def test_infeasible_when_holdout_too_small(self):
-        assert corrected_alpha_split(0.1, 0.05, 10) is INFEASIBLE
-        assert not INFEASIBLE  # falsy sentinel
+        assert corrected_alpha_split(0.1, 0.05, 10) is None
 
     def test_exact_algebra(self):
         alpha, delta, n1 = 0.1, 0.05, 250

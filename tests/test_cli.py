@@ -179,6 +179,17 @@ class TestSimulateCommand:
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert list(tmp_path.iterdir()) == []
 
+    def test_clock_mode_with_other_dims_exit_2(self, capsys, tmp_path):
+        code, _, err = _run(
+            capsys,
+            ["simulate", "--mode", "adversary_jk", "--dims", "1,2", "--n", "100",
+             "--n-test", "10", "--trials", "2", "--alpha", "0.5",
+             "--out-dir", str(tmp_path)],
+        )
+        assert code == 2
+        assert err.startswith("error:") and "d = 1" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_manifest_with_string_methods_replays(self, capsys, tmp_path):
         # version 0.3.0 stored methods as one comma-separated string
         dir_a, dir_b = tmp_path / "a", tmp_path / "b"
@@ -313,6 +324,31 @@ class TestAdversaryCommand:
              "--out-dir", str(tmp_path)],
         )
         assert code == 2
+
+    def test_missing_n_exit_2(self, capsys, tmp_path):
+        code, _, err = _run(
+            capsys, ["adversary", "--method", "jk", "--out-dir", str(tmp_path)]
+        )
+        assert code == 2
+        assert err == "error: missing required config key 'n'\n"
+
+    def test_same_run_as_simulate(self, capsys, tmp_path):
+        keys = ["--n", "100", "--n-test", "10", "--trials", "3", "--alpha", "0.5",
+                "--seed", "3"]
+        adv, sim = tmp_path / "adversary", tmp_path / "simulate"
+        adv.mkdir(), sim.mkdir()
+        code_adv, _, _ = _run(
+            capsys, ["adversary", "--method", "jk", *keys, "--out-dir", str(adv)]
+        )
+        code_sim, _, _ = _run(
+            capsys,
+            ["simulate", "--mode", "adversary_jk", "--dims", "1", *keys,
+             "--out-dir", str(sim)],
+        )
+        assert code_adv == 0 and code_sim == 0
+        assert (adv / "adversary_trials.csv").read_bytes() == (
+            sim / "trials.csv"
+        ).read_bytes()
 
     def test_small_run(self, capsys, tmp_path):
         code, out, err = _run(

@@ -1,6 +1,4 @@
-import copy
 import math
-import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -9,8 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coverkit import (
-    INFEASIBLE,
-    OVERFLOW,
     Dataset,
     FoldPartition,
     PredictionSet,
@@ -28,7 +24,7 @@ class TestOrderStatIndex:
     def test_spec_examples(self):
         assert order_stat_index(9, 0.1) == 9
         assert order_stat_index(500, 0.1) == 451
-        assert order_stat_index(3, 0.1) is OVERFLOW
+        assert order_stat_index(3, 0.1) == 4  # n + 1: the whole line
         assert order_stat_index(250, 0.1) == 226
 
     def test_rejects_bad_alpha(self):
@@ -47,24 +43,7 @@ class TestOrderStatIndex:
             frac = 1 - Fraction(str(alpha))
             for n in range(1, 200):
                 expected = math.ceil(frac * (n + 1))
-                got = order_stat_index(n, alpha)
-                if expected > n:
-                    assert got is OVERFLOW, (n, alpha)
-                else:
-                    assert got == expected, (n, alpha)
-
-
-class TestSentinels:
-    @pytest.mark.parametrize(
-        "sentinel, name",
-        [(OVERFLOW, "OVERFLOW"), (INFEASIBLE, "INFEASIBLE")],
-        ids=["OVERFLOW", "INFEASIBLE"],
-    )
-    def test_falsy_named_singletons(self, sentinel, name):
-        assert pickle.loads(pickle.dumps(sentinel)) is sentinel
-        assert copy.deepcopy(sentinel) is sentinel
-        assert bool(sentinel) is False
-        assert repr(sentinel) == name
+                assert order_stat_index(n, alpha) == expected, (n, alpha)
 
 
 class TestSelection:
@@ -91,7 +70,7 @@ class TestSelection:
         for _ in range(25):
             values = rng.standard_normal(rng.integers(2, 40))
             k = order_stat_index(values.size, 0.25)
-            if k is OVERFLOW:
+            if k > values.size:
                 continue
             v = kth_smallest(values, k)
             assert values.min() <= v <= values.max()
@@ -125,7 +104,7 @@ class TestPlusBounds:
         lower, upper = plus_bounds(mu, residuals, alpha)
         assert lower.shape == upper.shape == (m,)
         k = order_stat_index(n, alpha)
-        if k is OVERFLOW:
+        if k > n:
             assert np.all(lower == -np.inf) and np.all(upper == np.inf)
             return
         # k-th largest of mu - R, k-th smallest of mu + R, per evaluation point

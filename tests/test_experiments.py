@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from coverkit import Dataset, make_folds, ridge_algorithm
 from coverkit.conformal import (
-    SplitSpec,
     cv_plus_bounds,
     full_conformal_ridge_exact,
     jackknife_plus_bounds,
@@ -103,6 +102,22 @@ class TestConfigValidation:
                 methods=(METHOD_SPLIT,), ridge_penalty=0.0,
             )
 
+    def test_split_needs_two_points(self):
+        # split trains on n // 2 points and calibrates on the rest
+        with pytest.raises(ValueError, match="n >= 2"):
+            ExperimentConfig(
+                n=1, n_test=10, d=2, alpha=0.1, trials=1, master_seed=0,
+                methods=(METHOD_SPLIT,),
+            )
+
+    @pytest.mark.parametrize("mode", [ADVERSARY_FULL, ADVERSARY_JK])
+    def test_clock_modes_need_d_1(self, mode):
+        # the clock sampler draws one feature, so any other d is a relabel
+        with pytest.raises(ValueError, match="d = 1"):
+            ExperimentConfig(
+                n=100, n_test=10, d=2, alpha=0.5, trials=1, master_seed=0, mode=mode
+            )
+
 
 class TestEngineAgainstGenericConstructions:
     """The trial engine's shortcuts must reproduce the reference paths."""
@@ -126,7 +141,7 @@ class TestEngineAgainstGenericConstructions:
             train.subset(range(12)), train.subset(range(12, 24)),
             ridge_algorithm(RidgeConfig(penalty)), alpha,
         )
-        miss, width = engine.split(SplitSpec(12, 12, alpha))
+        miss, width = engine.split(12)
         assert width == pytest.approx(2 * result.radius, rel=1e-9)
         preds = result.model(test.x)
         ref_miss = float(np.mean(np.abs(test.y - preds) > result.radius))
@@ -226,7 +241,7 @@ class TestEngineProperties:
             "cv": stats(*cv),
         }
         got = {
-            "split": engine.split(SplitSpec(n0, n - n0, alpha)),
+            "split": engine.split(n0),
             "full": engine.full_conformal(),
             "jackknife": engine.jackknife(),
             "cv": engine.cv(folds),
