@@ -3,7 +3,7 @@ coverage: split/full conformal, jackknife+, cv+, PAC bound calculators,
 coverage-collapse counterexamples, and a reproducible simulation harness.
 """
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .adversary import (
     EventReport,
@@ -24,12 +24,14 @@ from .bounds import (
 )
 from .conformal import (
     GridSpec,
+    PredictionSetBatch,
     SplitConformal,
     cv_plus,
     cv_plus_bounds,
     default_grid,
     full_conformal_grid,
     full_conformal_ridge_exact,
+    full_conformal_ridge_sets,
     holdout_pvalue,
     jackknife_plus,
     jackknife_plus_bounds,

@@ -16,11 +16,13 @@ Monte Carlo from an independent sample.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .core import (
     Dataset,
@@ -41,6 +43,7 @@ __all__ = [
     "default_grid",
     "full_conformal_grid",
     "full_conformal_ridge_exact",
+    "full_conformal_ridge_sets",
     "PredictionSetBatch",
     "affine_conformal_sets",
     "jackknife_plus",
@@ -156,7 +159,7 @@ def full_conformal_grid(
         )
     if len(train) == 0:
         raise ValueError("training data must be nonempty")
-    x_new = np.atleast_1d(np.asarray(x_new, dtype=float))
+    x_new = _eval_points(x_new, train.d, single=True)
     if grid is None:
         grid = default_grid(train)
     ys = grid.values()
@@ -210,6 +213,8 @@ class PredictionSetBatch:
     m: int
 
     def prediction_set(self, t: int) -> PredictionSet:
+        if not 0 <= t < self.m:
+            raise IndexError(f"point {t} out of range for a batch of {self.m}")
         mine = self.row == t
         return PredictionSet(np.column_stack([self.lower[mine], self.upper[mine]]))
 
@@ -294,36 +299,255 @@ def affine_conformal_sets(a, b, a0, b0, alpha: float) -> PredictionSetBatch:
     return PredictionSetBatch(lower[opens], upper[closes], row[opens], m)
 
 
+# evaluation points per full-conformal sweep: bounds its (rows, 2n) work arrays
+_SWEEP_ROWS = 64
+
+
+def _sweep(coefficients, m: int, alpha: float) -> PredictionSetBatch:
+    """Exact full-conformal sets of m points, _SWEEP_ROWS rows at a time.
+
+    ``coefficients(rows)`` returns the affine residual coefficients (a, b,
+    a0, b0) of ``affine_conformal_sets`` for a slice of rows.
+    """
+    parts = [
+        (lo, affine_conformal_sets(*coefficients(slice(lo, lo + _SWEEP_ROWS)), alpha))
+        for lo in range(0, m, _SWEEP_ROWS)
+    ]
+    return PredictionSetBatch(
+        np.concatenate([part.lower for _, part in parts]),
+        np.concatenate([part.upper for _, part in parts]),
+        np.concatenate([part.row + lo for lo, part in parts]),
+        m,
+    )
+
+
+class _RidgeBackend:
+    """The full-data ridge fit of (x, y), penalty > 0, at m evaluation points.
+
+    Every ridge shortcut derives from the same quantities of that fit. With
+    C = x x^T + penalty I and k_t = x x_t for evaluation point x_t:
+
+    * ``dual`` = C^-1 y, so that penalty * dual holds the training residuals;
+    * ``b``, whose row t is C^-1 k_t;
+    * ``test_pred``, the predictions at the evaluation points;
+    * ``schur``, the Schur complements x_t^T x_t + penalty - k_t^T C^-1 k_t
+      of the bordered systems that append one evaluation point;
+    * the diagonal blocks G_HH of G = C^-1.
+
+    The form follows the shape. With d < n one Cholesky factor of
+    A = x^T x + penalty I gives them all through C^-1 x = x A^-1:
+    dual = (y - x beta) / penalty, b = x_eval W with W = A^-1 x^T,
+    schur = penalty (1 + x_t^T A^-1 x_t) and G_HH = (I - x_H W_H) / penalty,
+    and no n x n array is formed. With d >= n the factor is that of C. At
+    d = n the leverages of the primal form reach 1 and I - x_H W_H cancels,
+    which is why d = n stays dual. Each quantity is computed on first use,
+    so one full-conformal query never forms an n x n inverse.
+    """
+
+    def __init__(
+        self, x: np.ndarray, y: np.ndarray, x_eval: np.ndarray, penalty: float
+    ):
+        if not penalty > 0:
+            raise ValueError("the ridge backend requires a positive penalty")
+        self.x, self.y, self.x_eval, self.penalty = x, y, x_eval, penalty
+        self.primal = x.shape[1] < x.shape[0]
+
+    @functools.cached_property
+    def _gram(self) -> np.ndarray:
+        return self.x @ self.x.T
+
+    @functools.cached_property
+    def _gram_eval(self) -> np.ndarray:
+        return self.x_eval @ self.x.T
+
+    @functools.cached_property
+    def _factor(self):
+        a = self.x.T @ self.x if self.primal else self._gram.copy()
+        a[np.diag_indices_from(a)] += self.penalty
+        # a is symmetric: its transpose is the Fortran-ordered array that
+        # LAPACK factorizes in place, with no copy
+        return scipy.linalg.cho_factor(a.T, overwrite_a=True)
+
+    @functools.cached_property
+    def _weights(self) -> np.ndarray:
+        """W = A^-1 x^T, the primal form's map from labels to coefficients."""
+        return scipy.linalg.cho_solve(self._factor, self.x.T)
+
+    @functools.cached_property
+    def _solved_eval(self) -> np.ndarray:
+        """A^-1 x_eval^T, shape (d, m): b and schur in the primal form."""
+        return scipy.linalg.cho_solve(self._factor, self.x_eval.T)
+
+    @functools.cached_property
+    def _beta(self) -> np.ndarray:
+        return scipy.linalg.cho_solve(self._factor, self.x.T @ self.y)
+
+    @functools.cached_property
+    def dual(self) -> np.ndarray:
+        if self.primal:
+            return (self.y - self.x @ self._beta) / self.penalty
+        return scipy.linalg.cho_solve(self._factor, self.y)
+
+    @functools.cached_property
+    def test_pred(self) -> np.ndarray:
+        if self.primal:
+            return self.x_eval @ self._beta
+        return self._gram_eval @ self.dual
+
+    @functools.cached_property
+    def b(self) -> np.ndarray:
+        if self.primal:
+            # x_eval W without forming W, which only the fold downdates need
+            return self._solved_eval.T @ self.x.T
+        # C is symmetric, so the rows of (C^-1 K^T)^T are C^-1 k_t
+        return scipy.linalg.cho_solve(self._factor, self._gram_eval.T).T
+
+    @functools.cached_property
+    def schur(self) -> np.ndarray:
+        if self.primal:
+            leverage = np.einsum("ij,ji->i", self.x_eval, self._solved_eval)
+            return self.penalty * (1.0 + leverage)
+        self_gram = np.einsum("ij,ij->i", self.x_eval, self.x_eval) + self.penalty
+        return self_gram - np.einsum("ij,ij->i", self._gram_eval, self.b)
+
+    @functools.cached_property
+    def _inverse(self) -> np.ndarray:
+        eye = np.eye(len(self.y)).T  # Fortran order, solved in place
+        return scipy.linalg.cho_solve(self._factor, eye, overwrite_b=True)
+
+    def _inverse_blocks(self, held: np.ndarray) -> np.ndarray:
+        """G_HH for every row H of ``held``, shape (K, s, s)."""
+        if self.primal:
+            x_w = self.x[held] @ self._weights[:, held].transpose(1, 0, 2)
+            return (np.eye(held.shape[1]) - x_w) / self.penalty
+        return self._inverse[held[:, :, None], held[:, None, :]]
+
+    def prefix_fit(self, n0: int) -> tuple[np.ndarray, np.ndarray]:
+        """Predictions of the fit on the first n0 training points, at the
+        other training points and at the evaluation points (split).
+
+        Built from sub-blocks of the two Gram matrices whatever the form,
+        so that split's results do not depend on the shape rule.
+        """
+        c0 = self._gram[:n0, :n0].copy()
+        c0[np.diag_indices_from(c0)] += self.penalty
+        weights = scipy.linalg.cho_solve(scipy.linalg.cho_factor(c0), self.y[:n0])
+        return self._gram[n0:, :n0] @ weights, self._gram_eval[:, :n0] @ weights
+
+    def leave_folds_out(self, folds: FoldPartition) -> tuple[np.ndarray, np.ndarray]:
+        """Leave-one-fold-out predictions and residuals (jackknife+, cv+).
+
+        Returns mu of shape (m, n) and residuals of shape (n,) over the
+        training points taken fold by fold: for each point, the predictions
+        at the evaluation points of the fit without its fold, and its
+        absolute residual under that fit. The endpoints of ``plus_bounds``
+        do not depend on the order of the points.
+
+        Deleting fold H gives held-out residuals y_H - mu_{-H}(x_H) =
+        G_HH^-1 dual_H and moves prediction t by b[t, H] @ G_HH^-1 dual_H
+        (An, Liu & Venkatesh 2007, Pattern Recognition 40(8)): one solve of
+        size n/K per fold instead of a refit. Singleton folds give
+        jackknife+.
+        """
+        # row k: the indices of fold k, ascending
+        held = np.argsort(folds.assignments, kind="stable").reshape(folds.K, folds.m)
+        blocks = self._inverse_blocks(held)
+        shifts = np.linalg.solve(blocks, self.dual[held][:, :, None])
+        moves = np.matmul(self.b[:, held].transpose(1, 0, 2), shifts)[:, :, 0]
+        mu = np.repeat(self.test_pred[:, None] - moves.T, folds.m, axis=1)
+        return mu, np.abs(shifts).ravel()
+
+    def conformal_sets(self, alpha: float) -> PredictionSetBatch:
+        """Exact full-conformal sets at every evaluation point.
+
+        Appending (x_t, y) to the training set moves the dual solution along
+        C^-1 k_t by an amount affine in y. With slope = penalty / schur[t],
+        training residual i becomes a[t, i] + b_mat[t, i] y and the new
+        point's own residual a0[t] + b0[t] y.
+        """
+        lam = self.penalty
+        slope_new = lam / self.schur
+
+        def coefficients(rows):
+            scaled_pred = slope_new[rows] * self.test_pred[rows]
+            return (
+                lam * self.dual[None, :] + scaled_pred[:, None] * self.b[rows],
+                -slope_new[rows, None] * self.b[rows],
+                -scaled_pred,
+                slope_new[rows],
+            )
+
+        return _sweep(coefficients, len(self.x_eval), alpha)
+
+
+def _eval_points(x, d: int, single: bool = False) -> np.ndarray:
+    """Evaluation points as an (m, d) array, or one point as a (d,) array."""
+    x = np.asarray(x, dtype=float)
+    x, ndim = (np.atleast_1d(x), 1) if single else (np.atleast_2d(x), 2)
+    if x.ndim != ndim:
+        raise ValueError(
+            f"evaluation points need {ndim} dimensions, got shape {x.shape}"
+        )
+    if x.shape[-1] != d:
+        raise ValueError(f"dimension mismatch: expected {d}, got {x.shape[-1]}")
+    return x
+
+
+def full_conformal_ridge_sets(
+    train: Dataset,
+    x_eval,
+    ridge: RidgeConfig,
+    alpha: float,
+) -> PredictionSetBatch:
+    """Exact full-conformal sets for ridge regression at a batch of points.
+
+    Ridge predictions are affine in any single label, so each of the n+1
+    residuals is the absolute value of an affine function of the candidate
+    label y. The set boundary can only move where the test point's residual
+    crosses another one, and comparing those finitely many crossings gives
+    each exact set as a finite union of closed intervals.
+
+    A positive penalty derives every point from one factorization of the
+    training data; penalty 0 refits the minimum-norm least squares on the
+    augmented data, one point at a time.
+    """
+    if len(train) == 0:
+        raise ValueError("training data must be nonempty")
+    x_eval = _eval_points(x_eval, train.d)
+    if ridge.penalty > 0:
+        backend = _RidgeBackend(train.x, train.y, x_eval, ridge.penalty)
+        return backend.conformal_sets(alpha)
+    n = len(train)
+    rhs = np.zeros((n + 1, 2))
+    rhs[:n, 0] = train.y
+    rhs[n, 1] = 1.0
+
+    def coefficients(rows):
+        a, b, a0, b0 = [], [], [], []
+        for x_new in x_eval[rows]:
+            betas = _ridge_coefficients(np.vstack([train.x, x_new]), rhs, ridge.penalty)
+            a.append(train.y - train.x @ betas[:, 0])
+            b.append(-(train.x @ betas[:, 1]))
+            a0.append(-float(x_new @ betas[:, 0]))
+            b0.append(1.0 - float(x_new @ betas[:, 1]))
+        return np.array(a), np.array(b), np.array(a0), np.array(b0)
+
+    return _sweep(coefficients, len(x_eval), alpha)
+
+
 def full_conformal_ridge_exact(
     train: Dataset,
     x_new,
     ridge: RidgeConfig,
     alpha: float,
 ) -> PredictionSet:
-    """Exact full-conformal set for ridge regression, no grid.
+    """Exact full-conformal set for ridge regression at one point, no grid.
 
-    Ridge predictions are affine in any single label, so each of the n+1
-    residuals is the absolute value of an affine function of the candidate
-    label y. The set boundary can only move where the test point's residual
-    crosses another one, and comparing those finitely many crossings gives
-    the exact set as a finite union of closed intervals.
+    The one-point case of ``full_conformal_ridge_sets``.
     """
-    if len(train) == 0:
-        raise ValueError("training data must be nonempty")
-    x_new = np.atleast_1d(np.asarray(x_new, dtype=float))
-    n = len(train)
-    x_aug = np.vstack([train.x, x_new[None, :]])
-    rhs = np.zeros((n + 1, 2))
-    rhs[:n, 0] = train.y
-    rhs[n, 1] = 1.0
-    betas = _ridge_coefficients(x_aug, rhs, ridge.penalty)
-    beta_base, beta_dir = betas[:, 0], betas[:, 1]
-
-    a = train.y - train.x @ beta_base
-    b = -(train.x @ beta_dir)
-    a0 = -float(x_new @ beta_base)
-    b0 = 1.0 - float(x_new @ beta_dir)
-    return affine_conformal_sets(a, b, a0, b0, alpha).prediction_set(0)
+    x_new = _eval_points(x_new, train.d, single=True)
+    sets = full_conformal_ridge_sets(train, x_new[None, :], ridge, alpha)
+    return sets.prediction_set(0)
 
 
 def jackknife_plus_bounds(
@@ -342,7 +566,7 @@ def jackknife_plus_bounds(
     n = len(train)
     if n < 2:
         raise ValueError("jackknife+ needs at least 2 training points")
-    x_eval = np.atleast_2d(np.asarray(x_eval, dtype=float))
+    x_eval = _eval_points(x_eval, train.d)
     models = [algo.fit(train.without(i), seed) for i in range(n)]
     mu_eval = np.stack([np.asarray(m(x_eval)) for m in models])
     mu_own = np.array([float(models[i](train.x[i])) for i in range(n)])
@@ -374,12 +598,19 @@ def cv_plus_bounds(
 
     One fit per fold (on the data with that fold removed); every training
     point contributes its fold-deleted prediction and residual, and the
-    endpoints are the same order statistics as jackknife+.
+    endpoints are the same order statistics as jackknife+. An algorithm
+    tagged as ridge with a positive penalty (``ridge_algorithm``) derives
+    the fold fits from one full-data factorization instead of K refits.
     """
     n = len(train)
     if folds.n != n:
         raise ValueError(f"fold partition covers {folds.n} indices, dataset has {n}")
-    x_eval = np.atleast_2d(np.asarray(x_eval, dtype=float))
+    x_eval = _eval_points(x_eval, train.d)
+    if algo.ridge is not None and algo.ridge.penalty > 0:
+        backend = _RidgeBackend(train.x, train.y, x_eval, algo.ridge.penalty)
+        mu, residuals = backend.leave_folds_out(folds)
+        del backend  # its factorization is not needed for the order statistics
+        return plus_bounds(mu, residuals, alpha)
     fold_models = [
         algo.fit(train.subset(np.flatnonzero(folds.assignments != k)), seed)
         for k in range(folds.K)

@@ -13,9 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .regressors import RidgeConfig
 
 __all__ = [
     "Dataset",
@@ -108,11 +111,17 @@ class RegressionAlgorithm:
     ``symmetric=True`` asserts that fitting any permutation of the same
     dataset yields a model with identical predictions everywhere. Methods
     whose guarantees require symmetry (full conformal) check this flag.
+
+    ``ridge`` marks the procedure as ridge regression with that
+    configuration. ``cv_plus_bounds`` then derives the fold fits from one
+    full-data factorization when the penalty is positive, instead of
+    calling ``fit_fn`` once per fold.
     """
 
     fit_fn: Callable[[Dataset, int | None], FittedModel]
     symmetric: bool
     name: str = "algorithm"
+    ridge: RidgeConfig | None = None
 
     def fit(self, data: Dataset, seed: int | None = None) -> FittedModel:
         return self.fit_fn(data, seed)

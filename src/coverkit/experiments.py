@@ -3,14 +3,13 @@
 Two trial modes:
 
 * ridge simulation -- linear-Gaussian data, all four interval methods
-  evaluated on the same train/test draw. Per trial the engine computes the
-  train-train and test-train Gram matrices and one Cholesky factorization,
-  and derives every method from them: split from a sub-block, jackknife+
-  and cv+ through the exact leave-one-out and leave-fold-out downdates of
-  the full-data fit, and full conformal through the bordered-system closed
-  form, swept for a chunk of test points at a time. These shortcuts are
-  algebraically identical to refitting (tested against the generic
-  constructions), just O(n^2) per method instead of a refit per point.
+  evaluated on the same train/test draw. Each trial reads one ridge backend
+  of ``conformal`` (one factorization of the training data, in the primal
+  form when d < n and the dual form otherwise): split from sub-blocks of
+  the Gram matrices, jackknife+ and cv+ through the exact leave-one-out and
+  leave-fold-out downdates of the full-data fit, and full conformal through
+  the bordered-system closed form. This module keeps only the draw, the
+  scoring and the file formats.
 * adversary demonstrations -- clock algorithms at scale, with per-trial
   event reports alongside the estimated miscoverage.
 
@@ -21,7 +20,6 @@ so a run is reproducible regardless of worker count or scheduling.
 from __future__ import annotations
 
 import csv
-import functools
 import json
 import math
 import multiprocessing
@@ -30,7 +28,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .adversary import (
     EventReport,
@@ -41,8 +38,15 @@ from .adversary import (
     default_clock_sampler,
     gaussian_label_quantile,
 )
-from .conformal import affine_conformal_sets
-from .core import Dataset, derive_rng, make_folds, order_stat_index, plus_bounds
+from .conformal import _RidgeBackend
+from .core import (
+    Dataset,
+    FoldPartition,
+    derive_rng,
+    make_folds,
+    order_stat_index,
+    plus_bounds,
+)
 from .regressors import ClockConfig
 
 __all__ = [
@@ -119,7 +123,7 @@ class ExperimentConfig:
                 )
             if self.ridge_penalty <= 0:
                 raise ValueError(
-                    "the shared-kernel trial engine requires a positive ridge "
+                    "the ridge backend of the trials requires a positive ridge "
                     "penalty"
                 )
 
@@ -192,10 +196,6 @@ def generate_linear_gaussian(n: int, d: int, beta, seed: int) -> Dataset:
     return _draw_linear_gaussian(n, d, beta, np.random.default_rng(seed))
 
 
-# test points per full-conformal sweep: bounds its (rows, 2n) work arrays
-_SWEEP_ROWS = 64
-
-
 def _score(
     lower: np.ndarray, upper: np.ndarray, y: np.ndarray
 ) -> tuple[float, float]:
@@ -210,123 +210,42 @@ def _score(
     return float(np.mean(~covered)), float(np.mean(np.maximum(upper - lower, 0.0)))
 
 
-class _RidgeTrialEngine:
-    """All four interval methods on one train/test draw, sharing Gram blocks.
+class _RidgeTrial:
+    """Miss rate and mean width of each interval method on one train/test draw.
 
-    Everything is expressed through C = X X^T + penalty*I and the
-    test-train Gram matrix. The shortcuts used here (leave-one-out and
-    leave-fold-out downdates, bordered augmentation) reproduce the generic
-    constructions exactly for ridge; they only avoid redundant
-    factorizations.
+    Every method reads one ridge backend of the training set at the test
+    points, so the Gram matrices and the factorization are computed once
+    per trial, and only for the methods that need them.
     """
 
     def __init__(self, train: Dataset, test: Dataset, penalty: float, alpha: float):
-        if penalty <= 0:
-            raise ValueError("engine requires a positive penalty")
-        self.train, self.test, self.penalty, self.alpha = train, test, penalty, alpha
-        self.n = len(train)
-        self.gram = train.x @ train.x.T
-        self.gram_test = test.x @ train.x.T
+        self.test, self.alpha = test, alpha
+        self.backend = _RidgeBackend(train.x, train.y, test.x, penalty)
 
-    # -- split -----------------------------------------------------------
     def split(self, n0: int) -> tuple[float, float]:
         """Train on the first n0 points, calibrate on the other n - n0."""
-        n1 = self.n - n0
-        c0 = self.gram[:n0, :n0].copy()
-        c0[np.diag_indices_from(c0)] += self.penalty
-        alpha_hat = scipy.linalg.cho_solve(
-            scipy.linalg.cho_factor(c0), self.train.y[:n0]
-        )
-        holdout_pred = self.gram[n0:, :n0] @ alpha_hat
-        residuals = np.abs(self.train.y[n0:] - holdout_pred)
+        n1 = len(self.backend.y) - n0
         k = order_stat_index(n1, self.alpha)
         if k > n1:
             return 0.0, math.inf
+        holdout_pred, test_pred = self.backend.prefix_fit(n0)
+        residuals = np.abs(self.backend.y[n0:] - holdout_pred)
         radius = float(np.partition(residuals, k - 1)[k - 1])
-        test_pred = self.gram_test[:, :n0] @ alpha_hat
         miss = float(np.mean(np.abs(self.test.y - test_pred) > radius))
         return miss, 2.0 * radius
 
-    # -- shared full-data factorization -----------------------------------
-    @functools.cached_property
-    def _full_data(self):
-        """The full-data fit, computed once per trial: (dual, b, G, test_pred).
-
-        dual = C^-1 y, row t of b is C^-1 k_t, G = C^-1 and test_pred holds
-        the full-data predictions k_t @ dual.
-        """
-        c = self.gram.copy()
-        c[np.diag_indices_from(c)] += self.penalty
-        cho = scipy.linalg.cho_factor(c)
-        dual = scipy.linalg.cho_solve(cho, self.train.y)
-        # rows of b are C^-1 k_t for each test point (C is symmetric)
-        b = scipy.linalg.cho_solve(cho, self.gram_test.T).T
-        inverse = scipy.linalg.cho_solve(cho, np.eye(self.n))
-        return dual, b, inverse, self.gram_test @ dual
-
-    # -- jackknife+ --------------------------------------------------------
     def jackknife(self) -> tuple[float, float]:
-        dual, b, inverse, test_pred = self._full_data
-        loo_shift = dual / np.diag(inverse)  # y_i - mu_{-i}(x_i), exactly
-        residuals = np.abs(loo_shift)
-        # mu_{-i}(x_t) = test prediction minus the downdate along C^-1 k_t
-        mu_loo = test_pred[:, None] - b * loo_shift[None, :]
-        lower, upper = plus_bounds(mu_loo, residuals, self.alpha)
+        n = len(self.backend.y)
+        return self.cv(FoldPartition(np.arange(n), n))
+
+    def cv(self, folds: FoldPartition) -> tuple[float, float]:
+        lower, upper = plus_bounds(*self.backend.leave_folds_out(folds), self.alpha)
         return _score(lower, upper, self.test.y)
 
-    # -- cv+ ---------------------------------------------------------------
-    def cv(self, folds) -> tuple[float, float]:
-        """cv+ through the leave-fold-out identity of the full-data fit.
-
-        With G = C^-1 and w the dual solution, deleting fold H gives held-out
-        residuals y_H - mu_{-H}(x_H) = G_HH^-1 w_H and moves each test
-        prediction by b[t, H] @ G_HH^-1 w_H (An, Liu & Venkatesh 2007,
-        Pattern Recognition 40(8)): one m x m solve per fold instead of a
-        refit. With singleton folds it is the jackknife+ downdate.
-        """
-        dual, b, inverse, test_pred = self._full_data
-        held = np.stack([folds.fold_indices(fold) for fold in range(folds.K)])
-        blocks = inverse[held[:, :, None], held[:, None, :]]
-        shifts = np.linalg.solve(blocks, dual[held][:, :, None])[:, :, 0]
-        mu_fold = np.stack(
-            [test_pred - b[:, h] @ shift for h, shift in zip(held, shifts)], axis=1
-        )
-        residuals = np.empty(self.n)
-        residuals[held] = np.abs(shifts)
-        lower, upper = plus_bounds(mu_fold[:, folds.assignments], residuals, self.alpha)
-        return _score(lower, upper, self.test.y)
-
-    # -- full conformal (exact ridge path) ----------------------------------
     def full_conformal(self) -> tuple[float, float]:
-        """Exact full conformal at every test point, swept in row chunks.
-
-        Augmenting the training set with (x_t, y) shifts the dual solution
-        along C^-1 k_t by an amount affine in y; with r_i = penalty *
-        alpha_i for ridge training residuals, that gives, per test point t,
-        r_i(y) = a[t, i] + b_mat[t, i] * y and the test point's own
-        residual a0[t] + b0[t] * y. Coefficients are built per chunk of
-        test points, so no (n_test, n) array beyond b is held.
-        """
-        dual, b, _, test_pred = self._full_data
-        self_gram = np.einsum("ij,ij->i", self.test.x, self.test.x) + self.penalty
-        schur = self_gram - np.einsum("ij,ij->i", self.gram_test, b)
-        lam = self.penalty
-        slope_new = lam / schur
-        covered = np.empty(len(self.test), dtype=bool)
-        widths = np.empty(len(self.test))
-        for lo in range(0, len(self.test), _SWEEP_ROWS):
-            rows = slice(lo, lo + _SWEEP_ROWS)
-            scaled_pred = slope_new[rows] * test_pred[rows]
-            sets = affine_conformal_sets(
-                lam * dual[None, :] + scaled_pred[:, None] * b[rows],
-                -slope_new[rows, None] * b[rows],
-                -scaled_pred,
-                slope_new[rows],
-                self.alpha,
-            )
-            covered[rows] = sets.contains(self.test.y[rows])
-            widths[rows] = sets.widths()
-        return float(np.mean(~covered)), float(np.mean(widths))
+        sets = self.backend.conformal_sets(self.alpha)
+        miss = float(np.mean(~sets.contains(self.test.y)))
+        return miss, float(np.mean(sets.widths()))
 
 
 def _ridge_trial(config: ExperimentConfig, trial: int) -> list[TrialRecord]:
@@ -335,21 +254,21 @@ def _ridge_trial(config: ExperimentConfig, trial: int) -> list[TrialRecord]:
     data = _draw_linear_gaussian(config.n + config.n_test, config.d, beta, rng)
     train = data.subset(np.arange(config.n))
     test = data.subset(np.arange(config.n, config.n + config.n_test))
-    engine = _RidgeTrialEngine(train, test, config.ridge_penalty, config.alpha)
+    scorer = _RidgeTrial(train, test, config.ridge_penalty, config.alpha)
 
     records = []
     for method in config.methods:
         if method == METHOD_SPLIT:
-            miss, width = engine.split(config.n // 2)
+            miss, width = scorer.split(config.n // 2)
         elif method == METHOD_JACKKNIFE:
-            miss, width = engine.jackknife()
+            miss, width = scorer.jackknife()
         elif method == METHOD_CV:
             folds = make_folds(
                 config.n, config.cv_folds, _fold_seed(config.master_seed, trial)
             )
-            miss, width = engine.cv(folds)
+            miss, width = scorer.cv(folds)
         elif method == METHOD_FULL:
-            miss, width = engine.full_conformal()
+            miss, width = scorer.full_conformal()
         else:  # pragma: no cover - guarded by config validation
             raise ValueError(method)
         records.append(_record(config, trial, method, miss, width))

@@ -101,6 +101,7 @@ def ridge_algorithm(config: RidgeConfig) -> RegressionAlgorithm:
         fit_fn=lambda data, seed=None: ridge_fit(data, config),
         symmetric=True,
         name=f"ridge(penalty={config.penalty:g})",
+        ridge=config,
     )
 
 

@@ -42,7 +42,7 @@ from coverkit.experiments import (
     METHOD_JACKKNIFE,
     METHOD_SPLIT,
     ExperimentConfig,
-    _RidgeTrialEngine,
+    _RidgeTrial,
     adversary_training_set,
     run_trials,
 )
@@ -169,7 +169,7 @@ def test_criterion_03_cvplus_pac_bound():
         beta *= math.sqrt(10) / np.linalg.norm(beta)
         x = rng.standard_normal((n + n_test, d))
         y = x @ beta + rng.standard_normal(n + n_test)
-        engine = _RidgeTrialEngine(
+        engine = _RidgeTrial(
             Dataset(x[:n], y[:n]), Dataset(x[n:], y[n:]), 1e-4, alpha
         )
         folds = make_folds(n, K, int(derive_rng(303, t, 1).integers(2**31)))

@@ -6,25 +6,71 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import coverkit.regressors
 from coverkit import (
     Dataset,
     GridSpec,
     constant_algorithm,
     cv_plus,
+    cv_plus_bounds,
     full_conformal_grid,
     full_conformal_ridge_exact,
+    full_conformal_ridge_sets,
     holdout_pvalue,
     jackknife_plus,
+    jackknife_plus_bounds,
     make_folds,
     oracle_pvalue,
     ridge_algorithm,
+    ridge_fit,
     split_conformal,
 )
 from coverkit.conformal import affine_conformal_sets, default_grid
-from coverkit.core import RegressionAlgorithm
-from coverkit.regressors import RidgeConfig, constant_fit
+from coverkit.core import PredictionSet, RegressionAlgorithm
+from coverkit.regressors import RidgeConfig, _ridge_coefficients, constant_fit
 
 ZERO = constant_algorithm(0.0)
+
+
+def full_conformal_ridge_reference(
+    train: Dataset,
+    x_new,
+    ridge: RidgeConfig,
+    alpha: float,
+) -> PredictionSet:
+    """Exact full-conformal set for ridge regression, no grid.
+
+    Ridge predictions are affine in any single label, so each of the n+1
+    residuals is the absolute value of an affine function of the candidate
+    label y. The set boundary can only move where the test point's residual
+    crosses another one, and comparing those finitely many crossings gives
+    the exact set as a finite union of closed intervals.
+
+    The reference for the ridge backend: it refits on the augmented data.
+    """
+    if len(train) == 0:
+        raise ValueError("training data must be nonempty")
+    x_new = np.atleast_1d(np.asarray(x_new, dtype=float))
+    n = len(train)
+    x_aug = np.vstack([train.x, x_new[None, :]])
+    rhs = np.zeros((n + 1, 2))
+    rhs[:n, 0] = train.y
+    rhs[n, 1] = 1.0
+    betas = _ridge_coefficients(x_aug, rhs, ridge.penalty)
+    beta_base, beta_dir = betas[:, 0], betas[:, 1]
+
+    a = train.y - train.x @ beta_base
+    b = -(train.x @ beta_dir)
+    a0 = -float(x_new @ beta_base)
+    b0 = 1.0 - float(x_new @ beta_dir)
+    return affine_conformal_sets(a, b, a0, b0, alpha).prediction_set(0)
+
+
+def _untagged(cfg):
+    """Ridge without the tag that selects the backend: the refit oracle."""
+    return RegressionAlgorithm(
+        fit_fn=lambda data, seed=None: ridge_fit(data, cfg), symmetric=True
+    )
 
 
 def _dataset(y_values, d=1):
@@ -327,6 +373,167 @@ class TestCvPlus:
         train = Dataset(np.arange(4.0)[:, None], y)
         ps = cv_plus(train, [0.0], algo, alpha=0.7, folds=folds)
         assert ps.is_empty
+
+
+@st.composite
+def _ridge_problems(draw):
+    """(n, d, K, penalty, alpha, seed) on both sides of the backend's shape
+    rule: d = n - 1 (the last primal shape) and d = n (dual) a third of the
+    time each, K any divisor of n."""
+    n = draw(st.integers(4, 24))
+    d = draw(st.one_of(st.just(n - 1), st.just(n), st.integers(1, 2 * n)))
+    K = draw(st.sampled_from([k for k in range(2, n + 1) if n % k == 0]))
+    penalty = 10.0 ** draw(st.floats(-4.0, 0.0))
+    alpha = draw(st.floats(0.05, 0.5))
+    return n, d, K, penalty, alpha, draw(st.integers(0, 2**32 - 1))
+
+
+def _ridge_draw(n, d, seed, m=7):
+    rng = np.random.default_rng(seed)
+    x, beta = rng.standard_normal((n + m, d)), rng.standard_normal(d)
+    y = x @ beta + rng.standard_normal(n + m)
+    return Dataset(x[:n], y[:n]), x[n:], y[n:]
+
+
+def _assert_close(got, ref, rel=1e-8):
+    """Equal infinities; finite values within rel of the problem's scale."""
+    got, ref = np.asarray(got, dtype=float), np.asarray(ref, dtype=float)
+    assert got.shape == ref.shape
+    finite = ref[np.isfinite(ref)]
+    scale = float(np.max(np.abs(finite), initial=1.0))
+    np.testing.assert_allclose(got, ref, rtol=rel, atol=rel * scale)
+
+
+# both forms and their edges: n >> d, d = n - 1, d = n, d > n
+_FORM_EXAMPLES = [
+    (60, 3, 20, 1e-4, 0.1, 0),
+    (24, 23, 4, 1e-4, 0.1, 1),
+    (24, 24, 24, 1e-4, 0.1, 2),
+    (12, 30, 3, 1e-2, 0.2, 3),
+]
+
+
+def _with_examples(test):
+    for problem in _FORM_EXAMPLES:
+        test = example(problem)(test)
+    return test
+
+
+class TestRidgeBackend:
+    """The shared ridge backend against refits, in both of its forms."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_ridge_problems())
+    @_with_examples
+    def test_tagged_cv_plus_matches_refits(self, problem):
+        n, d, K, penalty, alpha, seed = problem
+        train, x_eval, y_eval = _ridge_draw(n, d, seed)
+        cfg, folds = RidgeConfig(penalty), make_folds(n, K, seed % 1000)
+        lo, up = cv_plus_bounds(train, x_eval, ridge_algorithm(cfg), alpha, folds)
+        ref_lo, ref_up = cv_plus_bounds(train, x_eval, _untagged(cfg), alpha, folds)
+        covered = (y_eval >= lo) & (y_eval <= up)
+        assert np.array_equal(covered, (y_eval >= ref_lo) & (y_eval <= ref_up))
+        _assert_close(lo, ref_lo)
+        _assert_close(up, ref_up)
+        _assert_close(np.maximum(up - lo, 0.0), np.maximum(ref_up - ref_lo, 0.0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_ridge_problems())
+    @_with_examples
+    def test_sets_match_augmented_refits(self, problem):
+        n, d, _, penalty, alpha, seed = problem
+        train, x_eval, y_eval = _ridge_draw(n, d, seed)
+        cfg = RidgeConfig(penalty)
+        batch = full_conformal_ridge_sets(train, x_eval, cfg, alpha)
+        widths, inside = batch.widths(), batch.contains(y_eval)
+        for t, x_new in enumerate(x_eval):
+            ref = full_conformal_ridge_reference(train, x_new, cfg, alpha)
+            assert inside[t] == (y_eval[t] in ref)
+            _assert_close(batch.prediction_set(t).intervals, ref.intervals)
+            assert widths[t] == pytest.approx(ref.total_width, rel=1e-8)
+
+    @pytest.mark.parametrize("n", [12, 24, 60])
+    def test_square_designs_at_a_tiny_penalty(self, n):
+        # at d = n the primal leverages reach 1 and I - x_H W_H cancels, which
+        # is why d = n stays in the dual form
+        cfg = RidgeConfig(1e-8)
+        for seed in range(4):
+            train, x_eval, _ = _ridge_draw(n, n, seed)
+            for K in (n, n // 2):
+                folds = make_folds(n, K, seed)
+                got = cv_plus_bounds(train, x_eval, ridge_algorithm(cfg), 0.1, folds)
+                ref = cv_plus_bounds(train, x_eval, _untagged(cfg), 0.1, folds)
+                for endpoints, ref_endpoints in zip(got, ref):
+                    _assert_close(endpoints, ref_endpoints)
+
+    @pytest.mark.parametrize("n, d", [(30, 5), (20, 20), (10, 25)])
+    def test_batch_row_equals_one_point_call(self, n, d):
+        train, x_eval, _ = _ridge_draw(n, d, seed=n + d, m=70)  # two sweep chunks
+        batch = full_conformal_ridge_sets(train, x_eval, RidgeConfig(1e-3), 0.2)
+        for t, x_new in enumerate(x_eval):
+            one = full_conformal_ridge_exact(train, x_new, RidgeConfig(1e-3), 0.2)
+            _assert_close(batch.prediction_set(t).intervals, one.intervals, rel=1e-12)
+
+    def test_penalty_zero_refits(self, monkeypatch):
+        calls = []
+
+        def counted(data, config):
+            calls.append(config.penalty)
+            return ridge_fit(data, config)
+
+        monkeypatch.setattr(coverkit.regressors, "ridge_fit", counted)
+        train, x_eval, _ = _ridge_draw(12, 3, seed=5)
+        folds = make_folds(12, 4, seed=0)
+        cv_plus_bounds(train, x_eval, ridge_algorithm(RidgeConfig(0.0)), 0.2, folds)
+        assert calls == [0.0] * 4
+        cv_plus_bounds(train, x_eval, ridge_algorithm(RidgeConfig(1e-3)), 0.2, folds)
+        assert calls == [0.0] * 4  # the backend fits nothing through ridge_fit
+        batch = full_conformal_ridge_sets(train, x_eval, RidgeConfig(0.0), 0.2)
+        for t, x_new in enumerate(x_eval):
+            ref = full_conformal_ridge_reference(train, x_new, RidgeConfig(0.0), 0.2)
+            assert np.array_equal(batch.prediction_set(t).intervals, ref.intervals)
+
+
+class TestPredictionSetBatch:
+    def test_point_out_of_range(self):
+        batch = affine_conformal_sets(np.ones((2, 3)), np.ones((2, 3)), np.zeros(2),
+                                      np.ones(2), alpha=0.5)
+        assert batch.prediction_set(1).total_width >= 0
+        for t in (2, 7, -1):
+            with pytest.raises(IndexError):
+                batch.prediction_set(t)
+
+
+class TestEvaluationPointChecks:
+    """Evaluation points of the wrong width are rejected with one message."""
+
+    train = Dataset(np.arange(12.0).reshape(4, 3), np.arange(4.0))
+    folds = make_folds(4, 2, seed=0)
+
+    @pytest.mark.parametrize("name, call", [
+        ("full_conformal_ridge_exact",
+         lambda tr, x: full_conformal_ridge_exact(tr, x[0], RidgeConfig(1e-3), 0.5)),
+        ("full_conformal_ridge_sets",
+         lambda tr, x: full_conformal_ridge_sets(tr, x, RidgeConfig(1e-3), 0.5)),
+        ("cv_plus_bounds", lambda tr, x: cv_plus_bounds(
+            tr, x, ridge_algorithm(RidgeConfig(1e-3)), 0.5,
+            TestEvaluationPointChecks.folds)),
+        ("cv_plus_bounds untagged", lambda tr, x: cv_plus_bounds(
+            tr, x, _untagged(RidgeConfig(1e-3)), 0.5, TestEvaluationPointChecks.folds)),
+        ("jackknife_plus_bounds", lambda tr, x: jackknife_plus_bounds(
+            tr, x, ridge_algorithm(RidgeConfig(1e-3)), 0.5)),
+        ("full_conformal_grid", lambda tr, x: full_conformal_grid(
+            tr, x[0], ZERO, 0.5, grid=GridSpec(-1, 1, 0.1))),
+    ])
+    def test_wrong_width(self, name, call):
+        with pytest.raises(ValueError, match="dimension mismatch: expected 3, got 4"):
+            call(self.train, np.ones((2, 4)))
+
+    def test_single_point_must_be_one_dimensional(self):
+        with pytest.raises(ValueError, match=r"need 1 dimensions, got shape \(1, 3\)"):
+            full_conformal_ridge_exact(
+                self.train, np.ones((1, 3)), RidgeConfig(1e-3), 0.5
+            )
 
 
 class TestMonotonicityInAlpha:

@@ -7,10 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coverkit import Dataset, make_folds, ridge_algorithm
+from coverkit import Dataset, make_folds
 from coverkit.conformal import (
     cv_plus_bounds,
-    full_conformal_ridge_exact,
     jackknife_plus_bounds,
     split_conformal,
 )
@@ -23,7 +22,7 @@ from coverkit.experiments import (
     METHOD_SPLIT,
     ExperimentConfig,
     TrialRecord,
-    _RidgeTrialEngine,
+    _RidgeTrial,
     _score,
     adversary_training_set,
     generate_linear_gaussian,
@@ -36,6 +35,7 @@ from coverkit.experiments import (
 )
 from coverkit.adversary import check_events
 from coverkit.regressors import RidgeConfig
+from test_conformal import _untagged, full_conformal_ridge_reference
 
 SMOKE = ExperimentConfig(
     n=40, n_test=200, d=10, alpha=0.1, trials=8, master_seed=11, cv_folds=4
@@ -133,13 +133,13 @@ class TestEngineAgainstGenericConstructions:
         xt = rng.standard_normal((n_test, d))
         yt = xt @ beta + rng.standard_normal(n_test)
         train, test = Dataset(x, y), Dataset(xt, yt)
-        return train, test, _RidgeTrialEngine(train, test, penalty, alpha), penalty, alpha
+        return train, test, _RidgeTrial(train, test, penalty, alpha), penalty, alpha
 
     def test_split(self, instance):
         train, test, engine, penalty, alpha = instance
         result = split_conformal(
             train.subset(range(12)), train.subset(range(12, 24)),
-            ridge_algorithm(RidgeConfig(penalty)), alpha,
+            _untagged(RidgeConfig(penalty)), alpha,
         )
         miss, width = engine.split(12)
         assert width == pytest.approx(2 * result.radius, rel=1e-9)
@@ -150,7 +150,7 @@ class TestEngineAgainstGenericConstructions:
     def test_jackknife(self, instance):
         train, test, engine, penalty, alpha = instance
         lo, up = jackknife_plus_bounds(
-            train, test.x, ridge_algorithm(RidgeConfig(penalty)), alpha
+            train, test.x, _untagged(RidgeConfig(penalty)), alpha
         )
         miss, width = engine.jackknife()
         assert miss == float(np.mean(~((test.y >= lo) & (test.y <= up))))
@@ -160,7 +160,7 @@ class TestEngineAgainstGenericConstructions:
         train, test, engine, penalty, alpha = instance
         folds = make_folds(24, 4, seed=3)
         lo, up = cv_plus_bounds(
-            train, test.x, ridge_algorithm(RidgeConfig(penalty)), alpha, folds
+            train, test.x, _untagged(RidgeConfig(penalty)), alpha, folds
         )
         miss, width = engine.cv(folds)
         assert miss == float(np.mean(~((test.y >= lo) & (test.y <= up))))
@@ -170,7 +170,7 @@ class TestEngineAgainstGenericConstructions:
         train, test, engine, penalty, alpha = instance
         miss, width = engine.full_conformal()
         sets = [
-            full_conformal_ridge_exact(train, test.x[t], RidgeConfig(penalty), alpha)
+            full_conformal_ridge_reference(train, test.x[t], RidgeConfig(penalty), alpha)
             for t in range(len(test))
         ]
         ref_miss = float(np.mean([test.y[t] not in sets[t] for t in range(len(test))]))
@@ -181,10 +181,11 @@ class TestEngineAgainstGenericConstructions:
 
 @st.composite
 def _engine_problems(draw):
-    """(n, d, K, penalty, alpha, seed, duplicate): d = n half the time, K any
-    divisor of n; with ``duplicate`` the first training point is repeated."""
+    """(n, d, K, penalty, alpha, seed, duplicate): d = n a third of the time and
+    d = n - 1 another third, K any divisor of n; with ``duplicate`` the first
+    training point is repeated."""
     n = draw(st.integers(4, 24))
-    d = draw(st.one_of(st.just(n), st.integers(1, 2 * n)))
+    d = draw(st.one_of(st.just(n), st.just(n - 1), st.integers(1, 2 * n)))
     K = draw(st.sampled_from([k for k in range(2, n + 1) if n % k == 0]))
     penalty = 10.0 ** draw(st.floats(-4.0, 1.0))
     alpha = draw(st.floats(0.01, 0.6))  # below 1/(n+1) the rank overflows
@@ -199,6 +200,8 @@ class TestEngineProperties:
     @example((24, 24, 2, 1e-4, 0.1, 0, False))  # d = n, two folds
     @example((12, 12, 12, 1e-4, 0.1, 1, True))  # d = n, singleton folds: K = n
     @example((9, 30, 3, 1e-2, 0.05, 2, False))  # rank 10 of 9 overflows but for split
+    @example((24, 23, 4, 1e-4, 0.1, 3, False))  # d = n - 1: the last primal shape
+    @example((60, 3, 20, 1e-4, 0.1, 4, True))  # n >> d, primal
     def test_engine_matches_generic(self, problem):
         n, d, K, penalty, alpha, seed, duplicate = problem
         rng = np.random.default_rng(seed)
@@ -209,9 +212,9 @@ class TestEngineProperties:
             x[1], y[1] = x[0], y[0]
         train = Dataset(x, y)
         test = Dataset(xt, xt @ beta + rng.standard_normal(7))
-        algo = ridge_algorithm(RidgeConfig(penalty))
+        algo = _untagged(RidgeConfig(penalty))
         folds = make_folds(n, K, seed=seed % 1000)
-        engine = _RidgeTrialEngine(train, test, penalty, alpha)
+        engine = _RidgeTrial(train, test, penalty, alpha)
 
         def stats(lo, up):
             miss = float(np.mean(~((test.y >= lo) & (test.y <= up))))
@@ -223,7 +226,7 @@ class TestEngineProperties:
         )
         preds = split.model(test.x)
         sets = [
-            full_conformal_ridge_exact(train, xt_row, RidgeConfig(penalty), alpha)
+            full_conformal_ridge_reference(train, xt_row, RidgeConfig(penalty), alpha)
             for xt_row in test.x
         ]
         jk = jackknife_plus_bounds(train, test.x, algo, alpha)
@@ -258,7 +261,7 @@ class TestEngineProperties:
         rng = np.random.default_rng(seed)
         train = Dataset(rng.standard_normal((n, d)), rng.standard_normal(n))
         test = Dataset(rng.standard_normal((7, d)), rng.standard_normal(7))
-        engine = _RidgeTrialEngine(train, test, penalty, alpha)
+        engine = _RidgeTrial(train, test, penalty, alpha)
         miss, width = engine.cv(make_folds(n, n, seed=0))
         jk_miss, jk_width = engine.jackknife()
         assert miss == jk_miss
