@@ -172,12 +172,16 @@ def full_conformal_grid(
         # rank n+1 of n+1 residuals: every candidate label qualifies
         return PredictionSet.real_line()
 
+    # one augmented design for every candidate, read-only so that a fit
+    # which writes into its data raises instead of corrupting the next one
+    aug_x = np.vstack([train.x, x_new[None, :]])
+    aug_x.flags.writeable = False
     included = np.zeros(ys.size, dtype=bool)
     for j, y in enumerate(ys):
-        aug = train.append(x_new, y)
-        model = algo.fit(aug, seed)
-        residuals = np.abs(aug.y - np.asarray(model(aug.x)))
-        included[j] = residuals[-1] <= kth_smallest(residuals, k)
+        labels = np.append(train.y, y)
+        model = algo.fit(Dataset(aug_x, labels), seed)
+        residuals = np.abs(labels - np.asarray(model(aug_x)))
+        included[j] = residuals[-1] <= np.partition(residuals, k - 1)[k - 1]
 
     if not included.any():
         return PredictionSet.empty()
@@ -426,9 +430,12 @@ class _RidgeBackend:
         """Predictions of the fit on the first n0 training points, at the
         other training points and at the evaluation points (split).
 
-        Built from sub-blocks of the two Gram matrices whatever the form,
-        so that split's results do not depend on the shape rule.
+        The form follows the shape of that fit: primal when d < n0, and
+        otherwise from sub-blocks of the two Gram matrices.
         """
+        if self.x.shape[1] < n0:
+            beta = _ridge_coefficients(self.x[:n0], self.y[:n0], self.penalty)
+            return self.x[n0:] @ beta, self.x_eval @ beta
         c0 = self._gram[:n0, :n0].copy()
         c0[np.diag_indices_from(c0)] += self.penalty
         weights = scipy.linalg.cho_solve(scipy.linalg.cho_factor(c0), self.y[:n0])

@@ -116,6 +116,10 @@ class RegressionAlgorithm:
     configuration. ``cv_plus_bounds`` then derives the fold fits from one
     full-data factorization when the penalty is positive, instead of
     calling ``fit_fn`` once per fold.
+
+    ``fit_fn`` must not modify its ``Dataset``: full conformal passes every
+    candidate label the same read-only feature array, and writing into it
+    raises ``ValueError``.
     """
 
     fit_fn: Callable[[Dataset, int | None], FittedModel]

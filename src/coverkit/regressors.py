@@ -15,6 +15,7 @@ Three families:
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -54,6 +55,43 @@ class RidgeConfig:
             raise ValueError("penalty must be a finite nonnegative real")
 
 
+_posv, _pocon, _lange = scipy.linalg.get_lapack_funcs(
+    ("posv", "pocon", "lange"), dtype=np.float64
+)
+
+
+def _solve_penalized(a: np.ndarray, rhs: np.ndarray, penalty: float) -> np.ndarray:
+    """Solve (a + penalty I) z = rhs for a symmetric positive semidefinite a.
+
+    One LAPACK ``posv`` call, factorizing a in place, with the safety checks
+    of ``scipy.linalg.solve(..., assume_a="pos")`` and the same bits: a
+    non-finite system raises ``ValueError``, a failed factorization
+    ``LinAlgError``, and a reciprocal condition number below machine
+    epsilon warns ``LinAlgWarning``.
+    """
+    diagonal = a.ravel()[:: a.shape[0] + 1]  # a strided view of the diagonal
+    diagonal += penalty
+    if not (np.isfinite(a).all() and np.isfinite(rhs).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    if a.shape[0] == 1:
+        return rhs / a[0, 0]  # a division, as in scipy.linalg.solve
+    # a is symmetric: its transpose is the Fortran-ordered array that LAPACK
+    # factorizes in place, with no copy
+    a = a.T
+    norm = _lange("1", a)
+    factor, z, info = _posv(a, rhs, overwrite_a=True)
+    if info > 0:
+        raise np.linalg.LinAlgError("A singular matrix detected.")
+    rcond, _ = _pocon(factor, norm)
+    if not rcond >= np.finfo(float).eps:
+        warnings.warn(
+            f"An ill-conditioned matrix detected: rcond = {rcond}.",
+            scipy.linalg.LinAlgWarning,
+            stacklevel=3,
+        )
+    return z
+
+
 def _ridge_coefficients(x: np.ndarray, y: np.ndarray, penalty: float) -> np.ndarray:
     n, d = x.shape
     if penalty == 0.0:
@@ -62,14 +100,10 @@ def _ridge_coefficients(x: np.ndarray, y: np.ndarray, penalty: float) -> np.ndar
         beta, *_ = np.linalg.lstsq(x, y, rcond=None)
         return beta
     if d <= n:
-        gram = x.T @ x
-        gram[np.diag_indices_from(gram)] += penalty
-        return scipy.linalg.solve(gram, x.T @ y, assume_a="pos")
+        return _solve_penalized(x.T @ x, x.T @ y, penalty)
     # Dual form: beta = X^T (X X^T + penalty I)^-1 y. Avoids forming a d x d
     # system in the overparameterized regime.
-    kernel = x @ x.T
-    kernel[np.diag_indices_from(kernel)] += penalty
-    return x.T @ scipy.linalg.solve(kernel, y, assume_a="pos")
+    return x.T @ _solve_penalized(x @ x.T, y, penalty)
 
 
 def _linear_model(beta: np.ndarray) -> FittedModel:

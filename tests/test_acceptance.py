@@ -6,7 +6,7 @@ with `pytest -s`, captured otherwise). The heavy scenarios (the clock
 demonstrations at n=5000 and the full-scale ridge simulation) are shared
 module fixtures; on a 2-vCPU machine with one BLAS thread per process the
 ridge simulation (`paper_records`, 800 trials on two workers) takes about
-70 s and the clock fixture about 60 s.
+70 s and the clock fixture about 7 s.
 """
 
 import math

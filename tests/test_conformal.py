@@ -26,7 +26,14 @@ from coverkit import (
     split_conformal,
 )
 from coverkit.conformal import affine_conformal_sets, default_grid
-from coverkit.core import PredictionSet, RegressionAlgorithm
+from coverkit.core import (
+    FittedModel,
+    PredictionSet,
+    RegressionAlgorithm,
+    derive_rng,
+    kth_smallest,
+    order_stat_index,
+)
 from coverkit.regressors import RidgeConfig, _ridge_coefficients, constant_fit
 
 ZERO = constant_algorithm(0.0)
@@ -64,6 +71,59 @@ def full_conformal_ridge_reference(
     a0 = -float(x_new @ beta_base)
     b0 = 1.0 - float(x_new @ beta_dir)
     return affine_conformal_sets(a, b, a0, b0, alpha).prediction_set(0)
+
+
+def full_conformal_grid_reference(
+    train: Dataset,
+    x_new,
+    algo: RegressionAlgorithm,
+    alpha: float,
+    grid: GridSpec,
+    seed=None,
+) -> PredictionSet:
+    """Grid full conformal with one augmented dataset per candidate label.
+
+    The reference for ``full_conformal_grid``: the same rank test and the
+    same widening of each run of kept grid points by one step.
+    """
+    x_new = np.atleast_1d(np.asarray(x_new, dtype=float))
+    ys = grid.values()
+    n = len(train)
+    k = order_stat_index(n, alpha)
+    if k > n:
+        return PredictionSet.real_line()
+
+    included = np.zeros(ys.size, dtype=bool)
+    for j, y in enumerate(ys):
+        aug = train.append(x_new, y)
+        model = algo.fit(aug, seed)
+        residuals = np.abs(aug.y - np.asarray(model(aug.x)))
+        included[j] = residuals[-1] <= kth_smallest(residuals, k)
+
+    if not included.any():
+        return PredictionSet.empty()
+    idx = np.flatnonzero(included)
+    breaks = np.flatnonzero(np.diff(idx) > 1)
+    run_starts = np.concatenate(([0], breaks + 1))
+    run_ends = np.concatenate((breaks, [idx.size - 1]))
+    step = grid.resolution
+    pairs = [
+        (ys[idx[s]] - step, ys[idx[e]] + step) for s, e in zip(run_starts, run_ends)
+    ]
+    return PredictionSet.from_intervals(pairs)
+
+
+def _nearest_mean_fit(data: Dataset, seed=None):
+    """Mean label of the three nearest training points: symmetric, not ridge."""
+    x, y = data.x, data.y
+
+    def predict(z):
+        z2 = np.atleast_2d(z)
+        dist = np.sum((z2[:, None, :] - x[None, :, :]) ** 2, axis=2)
+        out = np.mean(y[np.argsort(dist, axis=1)[:, :3]], axis=1)
+        return out if z.ndim > 1 else float(out[0])
+
+    return FittedModel(predict=predict)
 
 
 def _untagged(cfg):
@@ -151,6 +211,41 @@ class TestFullConformalGrid:
         train = _dataset([1.0, 2.0, 3.0])
         ps = full_conformal_grid(train, [0.0], ZERO, 0.1, grid=GridSpec(-1, 1, 0.1))
         assert ps.is_real_line
+
+    @pytest.mark.parametrize("instance", [0, 1])
+    def test_ridge_matches_reference_at_criterion_8_scale(self, instance):
+        rng = derive_rng(808, instance)
+        x = rng.standard_normal((30, 5))
+        y = x @ (rng.standard_normal(5) / math.sqrt(5)) + rng.standard_normal(30)
+        train, x_new = Dataset(x, y), rng.standard_normal(5)
+        exact = full_conformal_ridge_exact(train, x_new, RidgeConfig(1e-4), 0.1)
+        lo, hi = exact.intervals[0, 0] - 0.25, exact.intervals[-1, 1] + 0.25
+        grid = GridSpec(lo, hi, (hi - lo) / 4000)
+        algo = ridge_algorithm(RidgeConfig(1e-4))
+        got = full_conformal_grid(train, x_new, algo, 0.1, grid=grid)
+        ref = full_conformal_grid_reference(train, x_new, algo, 0.1, grid)
+        assert not got.is_empty
+        assert np.array_equal(got.intervals, ref.intervals)
+
+    def test_non_ridge_algorithm_matches_reference(self):
+        train, x_new = _random_ridge_instance(4, n=19, d=2)
+        algo = RegressionAlgorithm(fit_fn=_nearest_mean_fit, symmetric=True)
+        grid = default_grid(train)
+        got = full_conformal_grid(train, x_new, algo, 0.2, grid=grid)
+        ref = full_conformal_grid_reference(train, x_new, algo, 0.2, grid)
+        assert not got.is_empty
+        assert np.array_equal(got.intervals, ref.intervals)
+
+    def test_fit_that_writes_into_its_data_raises(self):
+        def scribble(data, seed=None):
+            data.x[-1, 0] += 1.0
+            return constant_fit(data, 0.0)
+
+        algo = RegressionAlgorithm(fit_fn=scribble, symmetric=True)
+        train = _dataset([1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(ValueError, match="read-only"):
+            full_conformal_grid(train, [0.0], algo, 0.5, grid=GridSpec(-6, 6, 0.01))
+        assert np.array_equal(train.x[:, 0], np.arange(4.0))
 
     def test_default_grid_covers_labels(self):
         train = _dataset([-5.0, 0.0, 5.0, 10.0])

@@ -1,17 +1,48 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from coverkit import Dataset
 from coverkit.regressors import (
     ClockConfig,
     RidgeConfig,
+    _ridge_coefficients,
     adversary_full_fit,
     adversary_jackknife_fit,
     constant_fit,
     ridge_fit,
     uniform_cell_map,
 )
+
+
+def ridge_coefficients_reference(x, y, penalty):
+    """Ridge coefficients through ``scipy.linalg.solve``: the refit kernel's
+    reference, with its finiteness, factorization and conditioning checks."""
+    n, d = x.shape
+    if d <= n:
+        gram = x.T @ x
+        gram[np.diag_indices_from(gram)] += penalty
+        return scipy.linalg.solve(gram, x.T @ y, assume_a="pos")
+    kernel = x @ x.T
+    kernel[np.diag_indices_from(kernel)] += penalty
+    return x.T @ scipy.linalg.solve(kernel, y, assume_a="pos")
+
+
+_SHAPES = {"d < n": lambda n: max(n // 3, 1), "d = n - 1": lambda n: n - 1,
+           "d = n": lambda n: n, "d > n": lambda n: 2 * n + 1}
+
+
+@st.composite
+def _kernel_problems(draw):
+    shape = draw(st.sampled_from(sorted(_SHAPES)))
+    n = draw(st.integers(2, 40))
+    penalty = 10.0 ** draw(st.floats(-6.0, 0.0))
+    return n, _SHAPES[shape](n), penalty, draw(st.integers(0, 2**32 - 1))
 
 
 def _random_instance(rng, n, d):
@@ -80,6 +111,50 @@ class TestRidge:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             ridge_fit(Dataset(np.empty((0, 2)), np.empty(0)), RidgeConfig(1.0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_kernel_problems())
+    @example((30, 5, 1e-4, 0))  # the grid oracle's scale
+    @example((1, 3, 1e-2, 1))  # a 1 x 1 dual system
+    @example((7, 1, 1e-2, 2))  # a 1 x 1 primal system
+    def test_kernel_matches_reference(self, problem):
+        n, d, penalty, seed = problem
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, d))
+        y = x @ rng.standard_normal(d) + rng.standard_normal(n)
+        got = _ridge_coefficients(x, y, penalty)
+        ref = ridge_coefficients_reference(x, y, penalty)
+        assert got.shape == ref.shape
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("d", [2, 9])  # primal, dual
+    def test_non_finite_design_rejected(self, value, d):
+        # Dataset checks only the labels
+        x = np.random.default_rng(8).standard_normal((5, d))
+        x[2, 1] = value
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            ridge_fit(Dataset(x, np.ones(5)), RidgeConfig(1e-3))
+
+    def test_ill_conditioned_system_warns(self):
+        # the second column is 1e4 times the first, with every Gram entry
+        # exact: the penalty alone keeps the system nonsingular, and its
+        # reciprocal condition number is about 1e-20
+        x = 0.5 * np.array([[1.0, 1e4]] * 4)
+        with pytest.warns(scipy.linalg.LinAlgWarning):
+            ridge_fit(Dataset(x, np.arange(4.0)), RidgeConfig(1e-12))
+
+    def test_failed_factorization_raises(self):
+        # x^T x = [[4, 4], [4, 4]] exactly, and a penalty of 1e-300 is lost
+        # against 4, so the Cholesky factorization meets a zero pivot
+        with pytest.raises(np.linalg.LinAlgError):
+            ridge_fit(Dataset(np.ones((4, 2)), np.arange(4.0)), RidgeConfig(1e-300))
+
+    def test_well_conditioned_system_is_silent(self):
+        data = _random_instance(np.random.default_rng(9), n=20, d=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ridge_fit(data, RidgeConfig(1e-4))
 
     def test_rejects_negative_penalty(self):
         with pytest.raises(ValueError):
