@@ -33,6 +33,7 @@ import numpy as np
 import scipy
 
 from . import __version__
+from ._blas import pinned_libraries
 from .bounds import (
     adversarial_floor,
     corrected_alpha_split,
@@ -266,10 +267,13 @@ _BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_TH
 
 
 def _environment(workers: int) -> dict:
-    """What the data bytes depend on beyond the config.
+    """The machine a run's data bytes came from, beyond the config.
 
-    The last digits of some widths change with the BLAS library and its
-    thread count, so a replay is byte-identical only where these match.
+    The library runs its linear algebra on one BLAS thread whatever the
+    thread variables say (``blas_pinned`` names the OpenBLAS libraries it
+    pins), so a replay on the same BLAS build writes the same bytes at any
+    thread setting. The last digits of some widths can still change with
+    the BLAS library or its version, which ``blas`` records.
     """
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -283,6 +287,7 @@ def _environment(workers: int) -> dict:
             key: blas.get(key) for key in ("name", "version", "openblas configuration")
         },
         "blas_threads": {var: os.environ.get(var) for var in _BLAS_THREAD_VARIABLES},
+        "blas_pinned": pinned_libraries(),
         "cpu_count": os.cpu_count(),
         "workers": workers,
     }

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from ._blas import single_threaded
 from .core import (
     Dataset,
     FittedModel,
@@ -89,6 +90,7 @@ class SplitConformal:
         return PredictionSet.centered(float(self.model(x)), self.radius)
 
 
+@single_threaded
 def split_conformal(
     train: Dataset,
     holdout: Dataset,
@@ -131,6 +133,7 @@ def default_grid(train: Dataset) -> GridSpec:
     return GridSpec(lo=lo, hi=hi, resolution=(hi - lo) / 2000.0)
 
 
+@single_threaded
 def full_conformal_grid(
     train: Dataset,
     x_new,
@@ -500,6 +503,7 @@ def _eval_points(x, d: int, single: bool = False) -> np.ndarray:
     return x
 
 
+@single_threaded
 def full_conformal_ridge_sets(
     train: Dataset,
     x_eval,
@@ -557,6 +561,7 @@ def full_conformal_ridge_exact(
     return sets.prediction_set(0)
 
 
+@single_threaded
 def jackknife_plus_bounds(
     train: Dataset,
     x_eval,
@@ -593,6 +598,7 @@ def jackknife_plus(
     return PredictionSet.interval(float(lower[0]), float(upper[0]))
 
 
+@single_threaded
 def cv_plus_bounds(
     train: Dataset,
     x_eval,

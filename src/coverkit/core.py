@@ -303,8 +303,10 @@ def plus_bounds(
     k = order_stat_index(n, alpha)
     if k > n:
         return np.full(m, -np.inf), np.full(m, np.inf)
-    lower = np.partition(mu - residuals, n - k, axis=1)[:, n - k]
-    upper = np.partition(mu + residuals, k - 1, axis=1)[:, k - 1]
+    # copies, so a caller holding the endpoints does not keep the two
+    # partitioned (m, n) arrays alive
+    lower = np.partition(mu - residuals, n - k, axis=1)[:, n - k].copy()
+    upper = np.partition(mu + residuals, k - 1, axis=1)[:, k - 1].copy()
     return lower, upper
 
 

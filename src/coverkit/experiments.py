@@ -29,6 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._blas import single_threaded
 from .adversary import (
     EventReport,
     adversary_full_bounds,
@@ -318,6 +319,7 @@ def _adversary_trial(
     return [_record(config, trial, method, *_score(lower, upper, test.y), events)]
 
 
+@single_threaded
 def _trial_worker(config: ExperimentConfig, trial: int) -> list[TrialRecord]:
     if config.mode == RIDGE_SIM:
         return _ridge_trial(config, trial)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from coverkit._blas import pinned_libraries
 from coverkit.cli import main
 
 
@@ -93,8 +94,11 @@ class TestSimulateCommand:
         assert code == 0
         env = json.loads((tmp_path / "manifest.json").read_text())["environment"]
         assert set(env) == {
-            "python", "numpy", "scipy", "blas", "blas_threads", "cpu_count", "workers",
+            "python", "numpy", "scipy", "blas", "blas_threads", "blas_pinned",
+            "cpu_count", "workers",
         }
+        assert env["blas_pinned"] == pinned_libraries()
+        assert all("openblas" in name.lower() for name in env["blas_pinned"])
         assert env["numpy"] == np.__version__ and env["workers"] == 1
         assert env["blas_threads"]["OPENBLAS_NUM_THREADS"] == "1"
         assert set(env["blas_threads"]) == {
@@ -199,6 +203,25 @@ class TestSimulateCommand:
         manifest = json.loads((dir_a / "manifest.json").read_text())
         assert manifest["config"]["methods"] == ["split", "full", "jackknife+", "cv+"]
         manifest["config"]["methods"] = "split,full,jackknife+,cv+"
+        old = tmp_path / "old-manifest.json"
+        old.write_text(json.dumps(manifest))
+        code, _, _ = _run(
+            capsys,
+            ["simulate", "--from-manifest", str(old), "--out-dir", str(dir_b)],
+        )
+        assert code == 0
+        for name in ("trials.csv", "summary.csv", "summary.json"):
+            assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes(), name
+
+    def test_manifest_without_blas_pinned_replays(self, capsys, tmp_path):
+        # versions before 0.6.2 wrote no "blas_pinned" into the environment
+        dir_a, dir_b = tmp_path / "a", tmp_path / "b"
+        dir_a.mkdir(), dir_b.mkdir()
+        code, _, _ = _run(capsys, ["simulate", *TINY, "--out-dir", str(dir_a)])
+        assert code == 0
+        manifest = json.loads((dir_a / "manifest.json").read_text())
+        del manifest["environment"]["blas_pinned"]
+        manifest["version"] = "0.6.1"
         old = tmp_path / "old-manifest.json"
         old.write_text(json.dumps(manifest))
         code, _, _ = _run(

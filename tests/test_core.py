@@ -112,6 +112,12 @@ class TestPlusBounds:
         assert np.array_equal(lower, descending[:, k - 1])
         assert np.array_equal(upper, np.sort(mu + residuals, axis=1)[:, k - 1])
 
+    def test_endpoints_own_their_memory(self):
+        # a view into the partitioned (m, n) array would keep all of it alive
+        rng = np.random.default_rng(0)
+        lower, upper = plus_bounds(rng.normal(size=(100, 200)), rng.random(200), 0.1)
+        assert lower.base is None and upper.base is None
+
 
 class TestFolds:
     def test_small_partition(self):
