@@ -3,7 +3,7 @@ coverage: split/full conformal, jackknife+, cv+, PAC bound calculators,
 coverage-collapse counterexamples, and a reproducible simulation harness.
 """
 
-__version__ = "0.6.2"
+__version__ = "0.6.3"
 
 from .adversary import (
     EventReport,
@@ -11,7 +11,6 @@ from .adversary import (
     check_events,
     collapse_check,
     compute_M1,
-    dkw_statistic,
     gaussian_label_quantile,
     event_rates_montecarlo,
 )
@@ -32,7 +31,6 @@ from .conformal import (
     full_conformal_grid,
     full_conformal_ridge_exact,
     full_conformal_ridge_sets,
-    holdout_pvalue,
     jackknife_plus,
     jackknife_plus_bounds,
     oracle_pvalue,

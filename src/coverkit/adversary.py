@@ -35,7 +35,6 @@ __all__ = [
     "compute_M1",
     "collapse_check",
     "event_rates_montecarlo",
-    "dkw_statistic",
     "adversary_full_bounds",
     "adversary_jackknife_bounds",
     "default_clock_sampler",
@@ -324,27 +323,3 @@ def event_rates_montecarlo(
         p_all=float(p_all),
         trials=trials,
     )
-
-
-def dkw_statistic(uniforms) -> float:
-    """Exact sup over s in [0, 1] of |#{U_i < s} - n*s|.
-
-    The count uses a strict inequality, so the piecewise-linear process
-    jumps at each sample value; the supremum is attained at a one-sided
-    limit there, and scanning left and right limits of every distinct
-    value (plus the interval endpoints) is exact.
-    """
-    u = np.sort(np.asarray(uniforms, dtype=float).ravel())
-    if u.size == 0:
-        raise ValueError("need at least one sample")
-    if u[0] < 0.0 or u[-1] > 1.0:
-        raise ValueError("samples must lie in [0, 1]")
-    n = u.size
-    values, first_idx, counts = np.unique(u, return_index=True, return_counts=True)
-    below = first_idx.astype(float)  # strictly-less count at each value
-    left_limits = below - n * values
-    right_limits = below + counts - n * values
-    candidates = np.abs(np.concatenate([left_limits, right_limits]))
-    # the endpoints: f(0) = 0 and f(1) = #{U_i < 1} - n, linear in between
-    f_one = float(np.count_nonzero(u < 1.0) - n)
-    return float(max(candidates.max(), abs(f_one), 0.0))

@@ -10,8 +10,8 @@ regression algorithm, a target miscoverage level):
 * jackknife+ and cv+: order statistics of leave-one-out / fold-deleted
   predictions shifted by their residuals.
 
-Also here: the holdout p-value and its population counterpart, estimated by
-Monte Carlo from an independent sample.
+Also here: the population p-value of a fitted model at a test point,
+estimated by Monte Carlo from an independent sample.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .core import (
     FoldPartition,
     PredictionSet,
     RegressionAlgorithm,
+    _order_stat_pair,
     kth_smallest,
     order_stat_index,
     plus_bounds,
@@ -51,7 +52,6 @@ __all__ = [
     "jackknife_plus_bounds",
     "cv_plus",
     "cv_plus_bounds",
-    "holdout_pvalue",
     "oracle_pvalue",
 ]
 
@@ -250,14 +250,41 @@ def affine_conformal_sets(a, b, a0, b0, alpha: float) -> PredictionSetBatch:
     strict under-cut count (Nouretdinov, Melluish & Vovk, ICML 2001), for
     all rows at once. Isolated points, where the count dips only at a
     crossing, are dropped: they carry neither width nor probability.
+
+    Most ridge sets are one interval (Burnaev & Vovk 2014). On an interval
+    row every comparison under-cuts at both infinities, between two finite
+    roots, and the largest lower root lies below the smallest upper root, so
+    the count falls from n to 0 across the lower roots and rises across the
+    upper ones. Its set is [k-th largest lower root, k-th smallest upper
+    root]: two selections, no sort. Only the other rows are swept.
     """
-    a, b = np.atleast_2d(a), np.atleast_2d(b)
-    a0, b0 = np.atleast_1d(a0)[:, None], np.atleast_1d(b0)[:, None]
+    a = np.atleast_2d(a)
     m, n = a.shape
     k = order_stat_index(n, alpha)
-    if k > n:
-        whole = np.arange(m)
-        return PredictionSetBatch(np.full(m, -np.inf), np.full(m, np.inf), whole, m)
+    lows, highs, under = _crossings(a, b, a0, b0)
+    # at rank overflow (k = n + 1) the sweep's count never exceeds k - 1
+    interval = under.all(axis=1) & (k <= n)
+    if interval.any():
+        interval &= lows.max(axis=1) < highs.min(axis=1)
+        interval &= np.isfinite(lows).all(axis=1) & np.isfinite(highs).all(axis=1)
+    if not interval.any():
+        return _swept_sets(lows, highs, under, k)
+    lower, upper = _order_stat_pair(lows[interval], highs[interval], k)
+    rows, swept = np.flatnonzero(interval), np.flatnonzero(~interval)
+    if not swept.size:
+        return PredictionSetBatch(lower, upper, rows, m)
+    rest = _swept_sets(lows[swept], highs[swept], under[swept], k)
+    row = swept[rest.row]
+    at = np.searchsorted(row, rows)  # each interval row's place among the others
+    lower, upper = np.insert(rest.lower, at, lower), np.insert(rest.upper, at, upper)
+    return PredictionSetBatch(lower, upper, np.insert(row, at, rows), m)
+
+
+def _crossings(a, b, a0, b0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lower and upper roots of each comparison, a missing one at +inf, and
+    whether it under-cuts as y -> -inf; each of shape (m, n)."""
+    a, b = np.atleast_2d(a), np.atleast_2d(b)
+    a0, b0 = np.atleast_1d(a0)[:, None], np.atleast_1d(b0)[:, None]
     d_minus, d_plus = b - b0, b + b0
     num_minus, num_plus = a - a0, a + a0
     # (a_i + b_i y)^2 - (a0 + b0 y)^2 is the product of the two affine
@@ -272,9 +299,13 @@ def affine_conformal_sets(a, b, a0, b0, alpha: float) -> PredictionSetBatch:
     # missing root is parked at +inf, where the sweep never reaches it
     np.copyto(r_minus, np.inf, where=(d_minus == 0) | (sign_plus == 0))
     np.copyto(r_plus, np.inf, where=(d_plus == 0) | (sign_minus == 0))
-    roots = np.empty((m, 2 * n))
-    np.minimum(r_minus, r_plus, out=roots[:, :n])
-    np.maximum(r_minus, r_plus, out=roots[:, n:])
+    return np.minimum(r_minus, r_plus), np.maximum(r_minus, r_plus), under
+
+
+def _swept_sets(lows, highs, under, k: int) -> PredictionSetBatch:
+    """The sweep of ``affine_conformal_sets`` on any rows, any 1 <= k <= n + 1."""
+    m, n = under.shape
+    roots = np.concatenate([lows, highs], axis=1)
     # the first root of comparison i ends its starting state, the second
     # restores it
     first = np.where(under, -1, 1).astype(np.int8)
@@ -525,6 +556,9 @@ def full_conformal_ridge_sets(
     if len(train) == 0:
         raise ValueError("training data must be nonempty")
     x_eval = _eval_points(x_eval, train.d)
+    if not len(x_eval):
+        order_stat_index(len(train), alpha)  # a bad alpha still raises
+        return PredictionSetBatch(np.empty(0), np.empty(0), np.empty(0, dtype=int), 0)
     if ridge.penalty > 0:
         backend = _RidgeBackend(train.x, train.y, x_eval, ridge.penalty)
         return backend.conformal_sets(alpha)
@@ -650,18 +684,6 @@ def cv_plus(
         train, np.atleast_2d(x_new), algo, alpha, folds, seed
     )
     return PredictionSet.interval(float(lower[0]), float(upper[0]))
-
-
-def holdout_pvalue(holdout_residuals, model: FittedModel, x, y: float) -> float:
-    """Empirical p-value: share of holdout residuals >= |y - model(x)|.
-
-    Ties count as qualifying, matching the right-tail definition.
-    """
-    residuals = np.asarray(holdout_residuals, dtype=float).ravel()
-    if residuals.size == 0:
-        raise ValueError("holdout residuals must be nonempty")
-    threshold = abs(float(y) - float(model(np.atleast_1d(x))))
-    return float(np.mean(residuals >= threshold))
 
 
 def oracle_pvalue(model: FittedModel, oracle_sample: Dataset, x, y: float) -> float:

@@ -259,9 +259,6 @@ class FoldPartition:
         """Fold size n / K."""
         return self.n // self.K
 
-    def fold_indices(self, k: int) -> np.ndarray:
-        return np.flatnonzero(self.assignments == k)
-
 
 def order_stat_index(n_items: int, alpha: float) -> int:
     """Rank ceil((1-alpha)(n_items+1)) of the conformal quantile, 1-based.
@@ -303,11 +300,16 @@ def plus_bounds(
     k = order_stat_index(n, alpha)
     if k > n:
         return np.full(m, -np.inf), np.full(m, np.inf)
-    # copies, so a caller holding the endpoints does not keep the two
-    # partitioned (m, n) arrays alive
-    lower = np.partition(mu - residuals, n - k, axis=1)[:, n - k].copy()
-    upper = np.partition(mu + residuals, k - 1, axis=1)[:, k - 1].copy()
-    return lower, upper
+    return _order_stat_pair(mu - residuals, mu + residuals, k)
+
+
+def _order_stat_pair(low: np.ndarray, high: np.ndarray, k: int):
+    """Row-wise k-th largest of ``low`` and k-th smallest of ``high``, both
+    (m, n) with 1 <= k <= n and partitioned in place. The results are
+    copies, so holding them does not keep either array alive."""
+    low.partition(-k, axis=1)
+    high.partition(k - 1, axis=1)
+    return low[:, -k].copy(), high[:, k - 1].copy()
 
 
 def make_folds(n: int, K: int, seed: int) -> FoldPartition:

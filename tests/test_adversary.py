@@ -10,7 +10,6 @@ from coverkit import (
     check_events,
     collapse_check,
     compute_M1,
-    dkw_statistic,
     order_stat_index,
     plus_bounds,
 )
@@ -387,37 +386,3 @@ class TestEventRatesMonteCarlo:
         a = event_rates_montecarlo(50, cfg, 0.5, trials=150, seed=3)
         b = event_rates_montecarlo(50, cfg, 0.5, trials=150, seed=3)
         assert a == b and isinstance(a, EventRates)
-
-
-class TestDkwStatistic:
-    def test_single_point(self):
-        assert dkw_statistic([0.5]) == pytest.approx(0.5)
-
-    def test_two_zeros(self):
-        assert dkw_statistic([0.0, 0.0]) == pytest.approx(2.0)
-
-    def test_brute_force_oracle(self):
-        rng = np.random.default_rng(8)
-        grid = np.linspace(0.0, 1.0, 10_001)
-        for _ in range(30):
-            u = rng.uniform(0, 1, int(rng.integers(1, 40)))
-            exact = dkw_statistic(u)
-            brute = np.max(np.abs((u[None, :] < grid[:, None]).sum(1) - u.size * grid))
-            assert exact >= brute - 1e-12
-            assert exact <= brute + u.size * (grid[1] - grid[0]) + 1e-12
-
-    def test_tail_bound_monte_carlo(self):
-        # P(statistic > sqrt(n ln n / 2)) <= 2/n
-        rng = np.random.default_rng(31)
-        n, trials = 100, 10_000
-        threshold = math.sqrt(n * math.log(n) / 2)
-        exceed = sum(
-            dkw_statistic(rng.uniform(0, 1, n)) > threshold for _ in range(trials)
-        )
-        assert exceed / trials <= 2 / n
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            dkw_statistic([])
-        with pytest.raises(ValueError):
-            dkw_statistic([1.2])

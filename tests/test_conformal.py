@@ -16,7 +16,6 @@ from coverkit import (
     full_conformal_grid,
     full_conformal_ridge_exact,
     full_conformal_ridge_sets,
-    holdout_pvalue,
     jackknife_plus,
     jackknife_plus_bounds,
     make_folds,
@@ -25,7 +24,13 @@ from coverkit import (
     ridge_fit,
     split_conformal,
 )
-from coverkit.conformal import affine_conformal_sets, default_grid
+import coverkit.conformal
+from coverkit.conformal import (
+    _crossings,
+    _swept_sets,
+    affine_conformal_sets,
+    default_grid,
+)
 from coverkit.core import (
     FittedModel,
     PredictionSet,
@@ -317,6 +322,38 @@ def _affine_rows(draw, exact=False):
     return array(m, n), array(m, n), array(m), array(m), draw(st.floats(0.01, 0.99))
 
 
+_COARSE = [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]
+
+
+@st.composite
+def _interval_or_swept_rows(draw):
+    """(a, b, a0, b0, alpha) for small m and n: either coefficients from a
+    few values (ties, zero slopes, identical lines), or ridge-shaped rows
+    b = -s B, b0 = s over training residuals of 0 or 1e-12 among others.
+    A ridge row is an interval row when every |B_i| < 1, so the row scales
+    of B on both sides of 1 mix interval rows and swept rows."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 10))
+    alpha = draw(st.floats(0.01, 0.99))
+
+    def array(elements, *shape):
+        size = int(np.prod(shape))
+        drawn = draw(st.lists(elements, min_size=size, max_size=size))
+        return np.array(drawn, dtype=float).reshape(shape)
+
+    if draw(st.booleans()):
+        coarse = st.sampled_from(_COARSE)
+        return array(coarse, m, n), array(coarse, m, n), array(coarse, m), array(
+            coarse, m
+        ), alpha
+    s = array(st.floats(0.1, 2.0), m)
+    pred = array(st.floats(-10.0, 10.0), m)
+    scale = array(st.sampled_from([0.5, 0.99, 1.0, 1.5, 3.0]), m)
+    big_b = array(st.floats(-1.0, 1.0), m, n) * scale[:, None]
+    residuals = array(st.sampled_from([0.0, 1e-12]) | st.floats(-5.0, 5.0), n)
+    a = residuals + (s * pred)[:, None] * big_b
+    return a, -s[:, None] * big_b, -s * pred, s, alpha
+
+
 class TestAffineSweep:
     """The batched exact sweep behind both full-conformal ridge paths."""
 
@@ -413,6 +450,37 @@ class TestAffineSweep:
             assert not np.any(mismatch & (near > step + 1e-9))
             grid_ends = grid.intervals.ravel()
             assert all(np.min(np.abs(grid_ends - e)) <= step + 1e-9 for e in ends)
+
+    @settings(max_examples=500, deadline=None)
+    @given(_interval_or_swept_rows())
+    def test_interval_rows_equal_the_general_sweep(self, problem):
+        a, b, a0, b0, alpha = problem
+        got = affine_conformal_sets(a, b, a0, b0, alpha)
+        k = order_stat_index(a.shape[1], alpha)
+        want = _swept_sets(*_crossings(a, b, a0, b0), k)
+        assert np.array_equal(got.lower, want.lower)
+        assert np.array_equal(got.upper, want.upper)
+        assert np.array_equal(got.row, want.row)
+
+    def test_interval_and_swept_rows_alternate(self, monkeypatch):
+        # own residual |y|; a constant training residual c gives the interval
+        # row [-c, c], and |3y - a| under-cuts it between a/4 and a/2, which
+        # leaves a swept row of two half-lines
+        a = np.array([[1.0], [3.0], [2.0], [6.0], [0.5]])
+        b = np.array([[0.0], [-3.0], [0.0], [-3.0], [0.0]])
+        swept_rows = []
+
+        def recorded(lows, highs, under, k):
+            swept_rows.append(under.shape[0])
+            return _swept_sets(lows, highs, under, k)
+
+        monkeypatch.setattr(coverkit.conformal, "_swept_sets", recorded)
+        batch = affine_conformal_sets(a, b, np.zeros(5), np.ones(5), 0.5)
+        assert swept_rows == [2]
+        inf = math.inf
+        assert batch.row.tolist() == [0, 1, 1, 2, 3, 3, 4]
+        assert batch.lower.tolist() == [-1.0, -inf, 1.5, -2.0, -inf, 3.0, -0.5]
+        assert batch.upper.tolist() == [1.0, 0.75, inf, 2.0, 1.5, inf, 0.5]
 
 
 class TestJackknifePlus:
@@ -569,6 +637,16 @@ class TestRidgeBackend:
             one = full_conformal_ridge_exact(train, x_new, RidgeConfig(1e-3), 0.2)
             _assert_close(batch.prediction_set(t).intervals, one.intervals, rel=1e-12)
 
+    @pytest.mark.parametrize("penalty", [1e-3, 0.0])
+    def test_no_evaluation_points(self, penalty):
+        train, _, _ = _ridge_draw(12, 3, seed=0)
+        none, cfg = np.empty((0, 3)), RidgeConfig(penalty)
+        batch = full_conformal_ridge_sets(train, none, cfg, 0.2)
+        assert batch.m == 0 and batch.row.size == batch.lower.size == 0
+        assert batch.widths().size == 0 and batch.contains(np.empty(0)).size == 0
+        with pytest.raises(ValueError):
+            full_conformal_ridge_sets(train, none, cfg, 1.5)  # alpha outside (0, 1)
+
     def test_penalty_zero_refits(self, monkeypatch):
         calls = []
 
@@ -658,21 +736,14 @@ class TestMonotonicityInAlpha:
 
 
 class TestPValues:
-    def test_holdout_examples(self):
-        model = constant_fit(Dataset(np.empty((0, 1)), np.empty(0)), 0.0)
-        residuals = [1.0, 2.0, 3.0, 4.0]
-        assert holdout_pvalue(residuals, model, [0.0], 2.5) == 0.5
-        assert holdout_pvalue(residuals, model, [0.0], 0.0) == 1.0
-        assert holdout_pvalue(residuals, model, [0.0], 9.0) == 0.0
-
     def test_ties_qualify(self):
         model = constant_fit(Dataset(np.empty((0, 1)), np.empty(0)), 0.0)
-        assert holdout_pvalue([1.0, 2.0], model, [0.0], 2.0) == 0.5
+        assert oracle_pvalue(model, _dataset([1.0, 2.0]), [0.0], 2.0) == 0.5
 
     def test_empty_rejected(self):
         model = constant_fit(Dataset(np.empty((0, 1)), np.empty(0)), 0.0)
         with pytest.raises(ValueError):
-            holdout_pvalue([], model, [0.0], 1.0)
+            oracle_pvalue(model, Dataset(np.empty((0, 1)), np.empty(0)), [0.0], 1.0)
 
     def test_oracle_same_arithmetic(self):
         model = constant_fit(Dataset(np.empty((0, 1)), np.empty(0)), 0.0)

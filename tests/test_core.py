@@ -123,12 +123,12 @@ class TestFolds:
     def test_small_partition(self):
         folds = make_folds(4, 2, seed=3)
         assert folds.K == 2 and folds.m == 2
-        assert sorted(np.concatenate([folds.fold_indices(k) for k in range(2)]).tolist()) == [0, 1, 2, 3]
+        assert np.bincount(folds.assignments).tolist() == [2, 2]
 
     def test_paper_scale(self):
         folds = make_folds(500, 20, seed=0)
         assert folds.K == 20
-        assert all(folds.fold_indices(k).size == 25 for k in range(20))
+        assert np.all(np.bincount(folds.assignments, minlength=20) == 25)
 
     def test_divisibility_enforced(self):
         with pytest.raises(ValueError):
@@ -143,10 +143,8 @@ class TestFolds:
 
     def test_each_index_in_exactly_one_fold(self):
         folds = make_folds(60, 6, seed=2)
-        counts = np.zeros(60, dtype=int)
-        for k in range(6):
-            counts[folds.fold_indices(k)] += 1
-        assert np.all(counts == 1)
+        assert folds.assignments.shape == (60,)
+        assert set(folds.assignments.tolist()) == set(range(6))
 
     def test_partition_validation(self):
         with pytest.raises(ValueError):
