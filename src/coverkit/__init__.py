@@ -3,7 +3,7 @@ coverage: split/full conformal, jackknife+, cv+, PAC bound calculators,
 coverage-collapse counterexamples, and a reproducible simulation harness.
 """
 
-__version__ = "0.6.3"
+__version__ = "0.7.0"
 
 from .adversary import (
     EventReport,
@@ -33,7 +33,6 @@ from .conformal import (
     full_conformal_ridge_sets,
     jackknife_plus,
     jackknife_plus_bounds,
-    oracle_pvalue,
     split_conformal,
 )
 from .core import (

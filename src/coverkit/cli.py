@@ -171,6 +171,14 @@ def _resolve_config(base: dict, args) -> dict:
     unknown = set(raw) - set(_CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    if raw.get("mode") in (ADVERSARY_FULL, ADVERSARY_JK):
+        # keys only the ridge mode reads: a flag is an error, and a value from
+        # the smoke preset, a config file or a manifest is dropped unrecorded
+        for key in ("methods", "ridge_penalty", "cv_folds"):
+            if getattr(args, key, None) is not None:
+                flag, mode = _CONFIG_KEYS[key][0], raw["mode"]
+                raise ConfigError(f"{flag} has no effect in mode {mode}")
+            raw.pop(key, None)
     raw.setdefault("master_seed", 0)
     for key in ("n", "n_test", "alpha", "trials", "dims"):
         if key not in raw:
@@ -194,41 +202,38 @@ _MANIFEST = "manifest.json"
 
 
 @contextlib.contextmanager
-def _staged_outputs(out_dir: str):
+def _staged_outputs(out_dir: str, manifest: RunManifest):
     """Yield a fresh staging directory inside ``out_dir`` for a run's files.
 
-    When the block succeeds, each staged file replaces its namesake in
-    ``out_dir``, the manifest last; whatever happens, the staging
-    directory is then removed, so a failed run changes nothing in
-    ``out_dir``.
+    ``manifest`` is written there before the block runs. When the block
+    succeeds, the manifest is rewritten with its end timestamp and each
+    staged file replaces its namesake in ``out_dir``, the manifest last;
+    whatever happens, the staging directory is then removed, so a failed
+    run changes nothing in ``out_dir``. A hard-killed run therefore leaves
+    a `finished: null` manifest inside a `.coverkit-staging-*` directory of
+    ``out_dir``, never beside the data files.
     """
     if not os.path.isdir(out_dir):
         raise OSError(f"output directory does not exist: {out_dir}")
     staging = tempfile.mkdtemp(prefix=".coverkit-staging-", dir=out_dir)
     try:
+        manifest.write(os.path.join(staging, _MANIFEST))
         yield staging
+        manifest.finished = _now()
+        manifest.write(os.path.join(staging, _MANIFEST))
         for name in sorted(os.listdir(staging), key=lambda name: name == _MANIFEST):
             os.replace(os.path.join(staging, name), os.path.join(out_dir, name))
     finally:
         shutil.rmtree(staging, ignore_errors=True)
 
 
-def _write_json(payload: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
 @dataclass
 class RunManifest:
     """Everything needed to re-run a file-producing command bit-identically.
 
-    Written to the run's staging directory before any data file, then
-    rewritten with the end timestamp once the run succeeds, and moved into
-    the output directory after the data files. A hard-killed run therefore
-    leaves a `finished: null` manifest inside a `.coverkit-staging-*`
-    directory of the output directory, never beside the data files.
-    `simulate --from-manifest` replays the stored config.
+    ``_staged_outputs`` writes it before any data file and moves it into
+    the output directory after them. `simulate --from-manifest` replays the
+    stored config.
     """
 
     command: str
@@ -241,7 +246,9 @@ class RunManifest:
     finished: str | None = None
 
     def write(self, path: str) -> None:
-        _write_json(asdict(self), path)
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            json.dump(asdict(self), handle, indent=2, sort_keys=True)
+            handle.write("\n")
 
     @staticmethod
     def load_config(path: str) -> dict:
@@ -306,12 +313,9 @@ def _cmd_simulate(args) -> int:
         "summary_csv": "summary.csv",
         "summary_json": "summary.json",
     }
-    started = _now()
-    manifest = _manifest("simulate", resolved, outputs, started, args.workers)
+    manifest = _manifest("simulate", resolved, outputs, _now(), args.workers)
     t0 = time.monotonic()
-    with _staged_outputs(args.out_dir) as staging:
-        manifest.write(os.path.join(staging, _MANIFEST))
-
+    with _staged_outputs(args.out_dir, manifest) as staging:
         records = []
         for config in configs:
             records.extend(run_trials(config, workers=args.workers))
@@ -320,8 +324,6 @@ def _cmd_simulate(args) -> int:
         write_trials_csv(records, os.path.join(staging, outputs["trials_csv"]))
         write_summary_csv(report, os.path.join(staging, outputs["summary_csv"]))
         write_summary_json(report, os.path.join(staging, outputs["summary_json"]))
-        manifest.finished = _now()
-        manifest.write(os.path.join(staging, _MANIFEST))
 
     elapsed = time.monotonic() - t0
     print(f"simulate: {len(records)} records over {sum(c.trials for c in configs)} "
@@ -351,12 +353,9 @@ def _cmd_adversary(args) -> int:
 
     outputs = {"trials_csv": "adversary_trials.csv"}
     manifest = _manifest("adversary", resolved, outputs, _now(), args.workers)
-    with _staged_outputs(args.out_dir) as staging:
-        manifest.write(os.path.join(staging, _MANIFEST))
+    with _staged_outputs(args.out_dir, manifest) as staging:
         records = run_trials(config, workers=args.workers)
         write_trials_csv(records, os.path.join(staging, outputs["trials_csv"]))
-        manifest.finished = _now()
-        manifest.write(os.path.join(staging, _MANIFEST))
 
     collapse_frac = sum(r.alpha_hat >= 0.99 for r in records) / len(records)
     event_frac = sum(r.events.all_three for r in records) / len(records)

@@ -9,9 +9,6 @@ regression algorithm, a target miscoverage level):
   ridge through the affine structure of its residuals;
 * jackknife+ and cv+: order statistics of leave-one-out / fold-deleted
   predictions shifted by their residuals.
-
-Also here: the population p-value of a fitted model at a test point,
-estimated by Monte Carlo from an independent sample.
 """
 
 from __future__ import annotations
@@ -36,7 +33,7 @@ from .core import (
     order_stat_index,
     plus_bounds,
 )
-from .regressors import RidgeConfig, _ridge_coefficients
+from .regressors import RidgeConfig, _ridge_coefficients, _solve_penalized
 
 __all__ = [
     "GridSpec",
@@ -52,7 +49,6 @@ __all__ = [
     "jackknife_plus_bounds",
     "cv_plus",
     "cv_plus_bounds",
-    "oracle_pvalue",
 ]
 
 
@@ -471,8 +467,7 @@ class _RidgeBackend:
             beta = _ridge_coefficients(self.x[:n0], self.y[:n0], self.penalty)
             return self.x[n0:] @ beta, self.x_eval @ beta
         c0 = self._gram[:n0, :n0].copy()
-        c0[np.diag_indices_from(c0)] += self.penalty
-        weights = scipy.linalg.cho_solve(scipy.linalg.cho_factor(c0), self.y[:n0])
+        weights = _solve_penalized(c0, self.y[:n0], self.penalty)
         return self._gram[n0:, :n0] @ weights, self._gram_eval[:, :n0] @ weights
 
     def leave_folds_out(self, folds: FoldPartition) -> tuple[np.ndarray, np.ndarray]:
@@ -595,6 +590,24 @@ def full_conformal_ridge_exact(
     return sets.prediction_set(0)
 
 
+def _refit_folds(train: Dataset, x_eval, algo, folds: FoldPartition, seed):
+    """One refit per fold: the (mu, residuals) that ``plus_bounds`` takes.
+
+    mu[t, i] is the prediction at evaluation point t of the model fitted
+    without point i's fold, and residuals[i] that model's absolute residual
+    at point i.
+    """
+    fold_models = [
+        algo.fit(train.subset(np.flatnonzero(folds.assignments != k)), seed)
+        for k in range(folds.K)
+    ]
+    mu_fold_eval = np.stack([np.asarray(m(x_eval)) for m in fold_models])
+    mu_own = np.array(
+        [float(fold_models[k](x)) for k, x in zip(folds.assignments, train.x)]
+    )
+    return mu_fold_eval[folds.assignments].T, np.abs(train.y - mu_own)
+
+
 @single_threaded
 def jackknife_plus_bounds(
     train: Dataset,
@@ -605,19 +618,17 @@ def jackknife_plus_bounds(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Jackknife+ interval endpoints at a batch of evaluation points.
 
-    Fits the n leave-one-out models once and evaluates each at every row
-    of ``x_eval``; returns (lower, upper) arrays. lower > upper encodes an
-    empty set at that point.
+    Fits the n leave-one-out models once (cv+ with n singleton folds) and
+    evaluates each at every row of ``x_eval``; returns (lower, upper)
+    arrays. lower > upper encodes an empty set at that point. It refits n
+    times whatever the algorithm's ridge tag.
     """
     n = len(train)
     if n < 2:
         raise ValueError("jackknife+ needs at least 2 training points")
     x_eval = _eval_points(x_eval, train.d)
-    models = [algo.fit(train.without(i), seed) for i in range(n)]
-    mu_eval = np.stack([np.asarray(m(x_eval)) for m in models])
-    mu_own = np.array([float(models[i](train.x[i])) for i in range(n)])
-    residuals = np.abs(train.y - mu_own)
-    return plus_bounds(mu_eval.T, residuals, alpha)
+    singletons = FoldPartition(np.arange(n), n)
+    return plus_bounds(*_refit_folds(train, x_eval, algo, singletons, seed), alpha)
 
 
 def jackknife_plus(
@@ -657,18 +668,9 @@ def cv_plus_bounds(
         backend = _RidgeBackend(train.x, train.y, x_eval, algo.ridge.penalty)
         mu, residuals = backend.leave_folds_out(folds)
         del backend  # its factorization is not needed for the order statistics
-        return plus_bounds(mu, residuals, alpha)
-    fold_models = [
-        algo.fit(train.subset(np.flatnonzero(folds.assignments != k)), seed)
-        for k in range(folds.K)
-    ]
-    mu_fold_eval = np.stack([np.asarray(m(x_eval)) for m in fold_models])
-    mu_eval = mu_fold_eval[folds.assignments]
-    mu_own = np.array(
-        [float(fold_models[folds.assignments[i]](train.x[i])) for i in range(n)]
-    )
-    residuals = np.abs(train.y - mu_own)
-    return plus_bounds(mu_eval.T, residuals, alpha)
+    else:
+        mu, residuals = _refit_folds(train, x_eval, algo, folds, seed)
+    return plus_bounds(mu, residuals, alpha)
 
 
 def cv_plus(
@@ -684,18 +686,3 @@ def cv_plus(
         train, np.atleast_2d(x_new), algo, alpha, folds, seed
     )
     return PredictionSet.interval(float(lower[0]), float(upper[0]))
-
-
-def oracle_pvalue(model: FittedModel, oracle_sample: Dataset, x, y: float) -> float:
-    """Monte Carlo estimate of the population p-value.
-
-    ``oracle_sample`` must be drawn from the data distribution
-    independently of the model's training data; the estimate is the
-    right-tail frequency of |Y - model(X)| at the query residual, with
-    O(1/sqrt(sample size)) Monte Carlo error.
-    """
-    if len(oracle_sample) == 0:
-        raise ValueError("oracle sample must be nonempty")
-    residuals = np.abs(oracle_sample.y - np.asarray(model(oracle_sample.x)))
-    threshold = abs(float(y) - float(model(np.atleast_1d(x))))
-    return float(np.mean(residuals >= threshold))

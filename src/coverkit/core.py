@@ -76,11 +76,6 @@ class Dataset:
         idx = np.asarray(indices)
         return Dataset(self.x[idx], self.y[idx])
 
-    def without(self, index: int) -> "Dataset":
-        """Copy with observation ``index`` removed (leave-one-out)."""
-        keep = np.arange(len(self)) != index
-        return Dataset(self.x[keep], self.y[keep])
-
     def append(self, x, y: float) -> "Dataset":
         """Copy with one observation appended (full-conformal augmentation)."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -200,14 +195,6 @@ class PredictionSet:
     @property
     def is_empty(self) -> bool:
         return self.intervals.shape[0] == 0
-
-    @property
-    def is_real_line(self) -> bool:
-        return (
-            self.intervals.shape[0] == 1
-            and self.intervals[0, 0] == -np.inf
-            and self.intervals[0, 1] == np.inf
-        )
 
     def contains(self, y) -> np.ndarray:
         """Membership query; vectorized over y."""

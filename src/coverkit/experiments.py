@@ -44,6 +44,7 @@ from .core import (
     Dataset,
     FoldPartition,
     derive_rng,
+    kth_smallest,
     make_folds,
     order_stat_index,
     plus_bounds,
@@ -231,7 +232,7 @@ class _RidgeTrial:
             return 0.0, math.inf
         holdout_pred, test_pred = self.backend.prefix_fit(n0)
         residuals = np.abs(self.backend.y[n0:] - holdout_pred)
-        radius = float(np.partition(residuals, k - 1)[k - 1])
+        radius = kth_smallest(residuals, k)
         miss = float(np.mean(np.abs(self.test.y - test_pred) > radius))
         return miss, 2.0 * radius
 
@@ -336,7 +337,8 @@ def run_trials(config: ExperimentConfig, workers: int = 1) -> list[TrialRecord]:
         nested = [_trial_worker(config, t) for t in range(config.trials)]
     else:
         # spawned workers: forking a process whose BLAS has running threads
-        # can deadlock, and trials are long enough that spawn cost is noise
+        # can deadlock. Each worker imports numpy and scipy afresh, so the
+        # pool's start-up is not negligible on a call of few short trials
         context = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
             nested = list(

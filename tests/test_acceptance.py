@@ -32,7 +32,7 @@ from coverkit import (
     split_conformal,
 )
 from coverkit.bounds import cvplus_pac_bound, split_pac_bound
-from coverkit.conformal import GridSpec, oracle_pvalue
+from coverkit.conformal import GridSpec
 from coverkit.core import derive_rng
 from coverkit.experiments import (
     ADVERSARY_FULL,
@@ -412,9 +412,11 @@ def test_criterion_10_pvalue_validity_and_dkw_tail():
     # the Monte Carlo estimator agrees with the closed form
     ox = rng.standard_normal((200_000, d))
     oracle = Dataset(ox, ox @ beta + rng.standard_normal(200_000))
+    oracle_residuals = np.abs(oracle.y - model(oracle.x))
     for y_query in (0.0, 2.0, 5.0):
-        estimate = oracle_pvalue(model, oracle, np.zeros(d), y_query)
-        exact = float(pop_pvalue(abs(y_query - float(model(np.zeros(d))))))
+        threshold = abs(y_query - float(model(np.zeros(d))))
+        estimate = float(np.mean(oracle_residuals >= threshold))
+        exact = float(pop_pvalue(threshold))
         assert abs(estimate - exact) < 0.004
 
     # superuniformity at 1e5 fresh points

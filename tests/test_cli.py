@@ -194,6 +194,46 @@ class TestSimulateCommand:
         assert err.startswith("error:") and "d = 1" in err
         assert list(tmp_path.iterdir()) == []
 
+    CLOCK = ["simulate", "--mode", "adversary_jk", "--dims", "1", "--n", "100",
+             "--n-test", "10", "--trials", "2", "--alpha", "0.5"]
+
+    @pytest.mark.parametrize("flags", [
+        ["--methods", "split", "--cv-folds", "3", "--ridge-penalty", "5"],
+        ["--methods", "split,full,jackknife+,cv+"],
+        ["--ridge-penalty", "1e-4"],
+        ["--cv-folds", "4"],
+    ], ids=["all-three", "methods", "ridge-penalty", "cv-folds"])
+    def test_ridge_flag_in_clock_mode_exit_2(self, capsys, tmp_path, flags):
+        code, _, err = _run(capsys, [*self.CLOCK, *flags, "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "no effect" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_clock_manifest_with_ridge_keys_replays(self, capsys, tmp_path):
+        # versions 0.4 to 0.6 recorded the smoke preset's ridge keys in the
+        # manifest of every clock run started by `simulate`
+        first, replay = tmp_path / "first", tmp_path / "replay"
+        first.mkdir(), replay.mkdir()
+        code, _, _ = _run(capsys, [*self.CLOCK, "--out-dir", str(first)])
+        assert code == 0
+        manifest = json.loads((first / "manifest.json").read_text())
+        manifest["config"].update(
+            methods=["split", "full", "jackknife+", "cv+"], ridge_penalty=1e-4,
+            cv_folds=4,
+        )
+        manifest["version"] = "0.6.3"
+        old = tmp_path / "old-manifest.json"
+        old.write_text(json.dumps(manifest))
+        code, _, _ = _run(
+            capsys,
+            ["simulate", "--from-manifest", str(old), "--out-dir", str(replay)],
+        )
+        assert code == 0
+        assert (replay / "trials.csv").read_bytes() == (first / "trials.csv").read_bytes()
+        replayed = json.loads((replay / "manifest.json").read_text())["config"]
+        assert not {"methods", "ridge_penalty", "cv_folds"} & set(replayed)
+
     def test_manifest_with_string_methods_replays(self, capsys, tmp_path):
         # version 0.3.0 stored methods as one comma-separated string
         dir_a, dir_b = tmp_path / "a", tmp_path / "b"
@@ -296,6 +336,14 @@ class TestSimulateCommand:
         assert time.monotonic() - t0 < 30.0
 
 
+# a simulate and an adversary run, each on two workers
+_BOTH_COMMANDS = pytest.mark.parametrize("argv", [
+    ["simulate", *TINY, "--workers", "2"],
+    ["adversary", "--method", "jk", "--n", "100", "--trials", "2",
+     "--n-test", "10", "--alpha", "0.5", "--workers", "2"],
+], ids=["simulate", "adversary"])
+
+
 class TestFailedRuns:
     """A failed run changes nothing in the output directory."""
 
@@ -319,11 +367,32 @@ class TestFailedRuns:
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(self.OUTPUTS)
         assert {name: (tmp_path / name).read_bytes() for name in self.OUTPUTS} == before
 
-    @pytest.mark.parametrize("argv", [
-        ["simulate", *TINY, "--workers", "2"],
-        ["adversary", "--method", "jk", "--n", "100", "--trials", "2",
-         "--n-test", "10", "--alpha", "0.5", "--workers", "2"],
-    ], ids=["simulate", "adversary"])
+    @_BOTH_COMMANDS
+    def test_manifest_staged_before_the_trials(self, capsys, tmp_path, monkeypatch, argv):
+        # what a hard-killed run leaves: a `finished: null` manifest in the
+        # staging directory, and nothing beside the earlier files
+        import coverkit.cli as cli_module
+        from coverkit.experiments import run_trials
+
+        seen = []
+
+        def inspected(config, workers=1):
+            (staging,) = tmp_path.glob(".coverkit-staging-*")
+            assert [p.name for p in staging.iterdir()] == ["manifest.json"]
+            seen.append(json.loads((staging / "manifest.json").read_text()))
+            assert [p.name for p in tmp_path.iterdir()] == [staging.name]
+            return run_trials(config, workers=1)
+
+        monkeypatch.setattr(cli_module, "run_trials", inspected)
+        code, _, _ = _run(capsys, [*argv, "--out-dir", str(tmp_path)])
+        assert code == 0 and seen
+        assert all(manifest["finished"] is None for manifest in seen)
+        final = json.loads((tmp_path / "manifest.json").read_text())
+        assert final["finished"] is not None
+        assert {**final, "finished": None} == seen[0]
+        assert not list(tmp_path.glob(".coverkit-staging-*"))
+
+    @_BOTH_COMMANDS
     def test_worker_crash_exit_3_no_partials(self, capsys, tmp_path, monkeypatch, argv):
         from concurrent.futures.process import BrokenProcessPool
 
@@ -372,6 +441,9 @@ class TestAdversaryCommand:
         assert (adv / "adversary_trials.csv").read_bytes() == (
             sim / "trials.csv"
         ).read_bytes()
+        # the smoke preset's ridge keys are not inherited by a clock run
+        config = json.loads((sim / "manifest.json").read_text())["config"]
+        assert not {"methods", "ridge_penalty", "cv_folds"} & set(config)
 
     def test_small_run(self, capsys, tmp_path):
         code, out, err = _run(

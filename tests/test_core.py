@@ -175,13 +175,14 @@ class TestPredictionSet:
         assert PredictionSet.empty().is_empty
         assert not (0.0 in PredictionSet.empty())
         line = PredictionSet.real_line()
-        assert line.is_real_line and 1e300 in line
+        assert line.intervals.tolist() == [[-math.inf, math.inf]] and 1e300 in line
         assert PredictionSet.interval(2.0, 1.0).is_empty
 
     def test_centered(self):
         ps = PredictionSet.centered(1.0, 2.0)
         assert np.allclose(ps.intervals, [[-1, 3]])
-        assert PredictionSet.centered(0.0, math.inf).is_real_line
+        line = PredictionSet.centered(0.0, math.inf)
+        assert line.intervals.tolist() == [[-math.inf, math.inf]]
 
     def test_width_and_open_containment(self):
         ps = PredictionSet.from_intervals([(0, 1), (2, 4)])
@@ -202,11 +203,6 @@ class TestDataset:
         with pytest.raises(ValueError):
             data.append([1.0, 2.0], 0.0)
         assert len(data.append([1.0, 2.0, 3.0], 5.0)) == 3
-
-    def test_without(self):
-        data = Dataset(np.arange(4.0)[:, None], np.arange(4.0))
-        reduced = data.without(1)
-        assert reduced.y.tolist() == [0.0, 2.0, 3.0]
 
 
 class TestDeclaredSymmetry:
