@@ -45,6 +45,7 @@ from .experiments import (
     ADVERSARY_JK,
     RIDGE_SIM,
     ExperimentConfig,
+    _RIDGE_ONLY,
     run_trials,
     summarize,
     write_summary_csv,
@@ -174,7 +175,7 @@ def _resolve_config(base: dict, args) -> dict:
     if raw.get("mode") in (ADVERSARY_FULL, ADVERSARY_JK):
         # keys only the ridge mode reads: a flag is an error, and a value from
         # the smoke preset, a config file or a manifest is dropped unrecorded
-        for key in ("methods", "ridge_penalty", "cv_folds"):
+        for key in _RIDGE_ONLY:
             if getattr(args, key, None) is not None:
                 flag, mode = _CONFIG_KEYS[key][0], raw["mode"]
                 raise ConfigError(f"{flag} has no effect in mode {mode}")

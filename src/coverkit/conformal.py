@@ -281,21 +281,71 @@ def _crossings(a, b, a0, b0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     whether it under-cuts as y -> -inf; each of shape (m, n)."""
     a, b = np.atleast_2d(a), np.atleast_2d(b)
     a0, b0 = np.atleast_1d(a0)[:, None], np.atleast_1d(b0)[:, None]
+    # six (m, n) buffers, each then written in place: the slopes, the
+    # numerators that become the roots, and the signs
     d_minus, d_plus = b - b0, b + b0
-    num_minus, num_plus = a - a0, a + a0
+    r_minus, r_plus = a - a0, a + a0
+    flat_minus, flat_plus = d_minus == 0, d_plus == 0
     # (a_i + b_i y)^2 - (a0 + b0 y)^2 is the product of the two affine
     # factors, negative exactly where i under-cuts; its sign as y -> -inf
     # gives the starting state, and it is 0 everywhere for identical lines
-    sign_minus = np.where(d_minus != 0, -np.sign(d_minus), np.sign(num_minus))
-    sign_plus = np.where(d_plus != 0, -np.sign(d_plus), np.sign(num_plus))
-    under = sign_minus * sign_plus < 0
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        r_minus, r_plus = -num_minus / d_minus, -num_plus / d_plus
+    sign_minus, sign_plus = np.sign(d_minus), np.sign(d_plus)
+    np.negative(sign_minus, out=sign_minus)
+    np.negative(sign_plus, out=sign_plus)
+    np.sign(r_minus, out=sign_minus, where=flat_minus)
+    np.sign(r_plus, out=sign_plus, where=flat_plus)
     # a constant factor has no root, identical lines have none at all; a
     # missing root is parked at +inf, where the sweep never reaches it
-    np.copyto(r_minus, np.inf, where=(d_minus == 0) | (sign_plus == 0))
-    np.copyto(r_plus, np.inf, where=(d_plus == 0) | (sign_minus == 0))
-    return np.minimum(r_minus, r_plus), np.maximum(r_minus, r_plus), under
+    flat_minus |= sign_plus == 0
+    flat_plus |= sign_minus == 0
+    under = np.multiply(sign_minus, sign_plus, out=sign_minus) < 0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        np.divide(np.negative(r_minus, out=r_minus), d_minus, out=r_minus)
+        np.divide(np.negative(r_plus, out=r_plus), d_plus, out=r_plus)
+    r_minus[flat_minus] = np.inf
+    r_plus[flat_plus] = np.inf
+    lows = np.minimum(r_minus, r_plus, out=d_minus)
+    return lows, np.maximum(r_minus, r_plus, out=d_plus), under
+
+
+def _unbounded_rows(a, b, a0, b0, k: int) -> np.ndarray:
+    """Rows of ``affine_conformal_sets`` whose set is unbounded, for any
+    1 <= k <= n + 1, from the under-cut counts at +-inf alone.
+
+    A set reaches +inf (or -inf) exactly when at most k - 1 comparisons
+    under-cut there. Comparison i under-cuts at both infinities where
+    |b_i| < |b0| and at neither where |b_i| > |b0|. Only the rows with a tie
+    |b_i| = |b0| take the roots and signs of ``_crossings``, and count as
+    the sweep does: a comparison changes state across each root it reaches.
+    """
+    m, n = b.shape
+    if k > n:
+        return np.ones(m, dtype=bool)
+    slope0, slopes = np.abs(b0)[:, None], np.abs(b)
+    unbounded = np.count_nonzero(slopes < slope0, axis=1) <= k - 1
+    ties = np.flatnonzero((slopes == slope0).any(axis=1))
+    if ties.size:
+        lows, highs, under = _crossings(a[ties], b[ties], a0[ties], b0[ties])
+        at_minus = under ^ (lows == -np.inf) ^ (highs == -np.inf)
+        at_plus = under ^ (lows < np.inf) ^ (highs < np.inf)
+        fewest = np.minimum(at_minus.sum(axis=1), at_plus.sum(axis=1))
+        unbounded[ties] = fewest <= k - 1
+    return unbounded
+
+
+def _members(a, b, a0, b0, y, k: int) -> np.ndarray:
+    """Whether label y[t] lies in row t's set of ``affine_conformal_sets``,
+    by the set's definition: at most k - 1 strict under-cuts at y[t].
+
+    One O(n) count per row, with no roots. It can differ from the swept
+    set's ``contains`` only where a training residual equals the point's
+    own to within rounding: near a crossing, or anywhere along two lines
+    that are parallel to within rounding.
+    """
+    residuals = np.multiply(b, y[:, None])
+    residuals += a
+    np.abs(residuals, out=residuals)
+    return np.count_nonzero(residuals < np.abs(a0 + b0 * y)[:, None], axis=1) <= k - 1
 
 
 def _swept_sets(lows, highs, under, k: int) -> PredictionSetBatch:
@@ -493,27 +543,42 @@ class _RidgeBackend:
         mu = np.repeat(self.test_pred[:, None] - moves.T, folds.m, axis=1)
         return mu, np.abs(shifts).ravel()
 
-    def conformal_sets(self, alpha: float) -> PredictionSetBatch:
-        """Exact full-conformal sets at every evaluation point.
+    def _coefficients(self, rows: slice):
+        """The affine residual coefficients (a, b, a0, b0) of
+        ``affine_conformal_sets`` at the evaluation points ``rows``.
 
         Appending (x_t, y) to the training set moves the dual solution along
         C^-1 k_t by an amount affine in y. With slope = penalty / schur[t],
         training residual i becomes a[t, i] + b_mat[t, i] y and the new
         point's own residual a0[t] + b0[t] y.
         """
-        lam = self.penalty
-        slope_new = lam / self.schur
+        slope = self.penalty / self.schur[rows]
+        scaled_pred = slope * self.test_pred[rows]
+        a = scaled_pred[:, None] * self.b[rows]
+        a += self.penalty * self.dual  # the training residuals, in place
+        return a, -slope[:, None] * self.b[rows], -scaled_pred, slope
 
-        def coefficients(rows):
-            scaled_pred = slope_new[rows] * self.test_pred[rows]
-            return (
-                lam * self.dual[None, :] + scaled_pred[:, None] * self.b[rows],
-                -slope_new[rows, None] * self.b[rows],
-                -scaled_pred,
-                slope_new[rows],
-            )
+    def conformal_sets(self, alpha: float) -> PredictionSetBatch:
+        """Exact full-conformal sets at every evaluation point."""
+        return _sweep(self._coefficients, len(self.x_eval), alpha)
 
-        return _sweep(coefficients, len(self.x_eval), alpha)
+    def conformal_members(self, alpha: float, y: np.ndarray) -> np.ndarray | None:
+        """Whether y[t] lies in the exact full-conformal set of evaluation
+        point t, for every t; None when every set is bounded.
+
+        Boundedness is tested _SWEEP_ROWS rows at a time, up to the first
+        chunk with an unbounded set. The mean width is then +inf whatever
+        the other sets are, and membership is the count of the set's
+        definition, with no set built.
+        """
+        k = order_stat_index(len(self.y), alpha)
+        m = len(self.x_eval)
+        chunks = [slice(lo, lo + _SWEEP_ROWS) for lo in range(0, m, _SWEEP_ROWS)]
+        if not any(_unbounded_rows(*self._coefficients(rows), k).any() for rows in chunks):
+            return None
+        return np.concatenate(
+            [_members(*self._coefficients(rows), y[rows], k) for rows in chunks]
+        )
 
 
 def _eval_points(x, d: int, single: bool = False) -> np.ndarray:

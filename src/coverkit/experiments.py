@@ -8,8 +8,12 @@ Two trial modes:
   form when d < n and the dual form otherwise): split from sub-blocks of
   the Gram matrices, jackknife+ and cv+ through the exact leave-one-out and
   leave-fold-out downdates of the full-data fit, and full conformal through
-  the bordered-system closed form. This module keeps only the draw, the
-  scoring and the file formats.
+  the bordered-system closed form. Full conformal is scored by its
+  definition: a test label is covered when at most k - 1 training residuals
+  under-cut its own. Sets are built, for their widths, only when all are
+  bounded; otherwise the mean width is +inf. One scorer turns every
+  method's coverage and widths into its miss rate and mean width. This
+  module keeps only the draw, the scoring and the file formats.
 * adversary demonstrations -- clock algorithms at scale, with per-trial
   event reports alongside the estimated miscoverage.
 
@@ -84,6 +88,9 @@ METHOD_CV = "cv+"
 
 _ALL_METHODS = (METHOD_SPLIT, METHOD_FULL, METHOD_JACKKNIFE, METHOD_CV)
 
+# the config fields that only the ridge simulation reads
+_RIDGE_ONLY = ("methods", "ridge_penalty", "cv_folds")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -108,10 +115,15 @@ class ExperimentConfig:
             raise ValueError("alpha must lie strictly in (0, 1)")
         if self.mode not in (RIDGE_SIM, ADVERSARY_FULL, ADVERSARY_JK):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode != RIDGE_SIM and self.d != 1:
-            # the clock sampler draws one-dimensional features
-            raise ValueError(f"the clock modes need d = 1, got d={self.d}")
-        if self.mode == RIDGE_SIM:
+        if self.mode != RIDGE_SIM:
+            if self.d != 1:
+                # the clock sampler draws one-dimensional features
+                raise ValueError(f"the clock modes need d = 1, got d={self.d}")
+            # the class attributes hold the defaults
+            changed = [k for k in _RIDGE_ONLY if getattr(self, k) != getattr(type(self), k)]
+            if changed:
+                raise ValueError(f"{', '.join(changed)}: no effect in mode {self.mode}")
+        else:
             if self.n < 2:
                 raise ValueError("the ridge simulation needs n >= 2 to split")
             unknown = set(self.methods) - set(_ALL_METHODS)
@@ -198,18 +210,26 @@ def generate_linear_gaussian(n: int, d: int, beta, seed: int) -> Dataset:
     return _draw_linear_gaussian(n, d, beta, np.random.default_rng(seed))
 
 
-def _score(
+def _score(covered: np.ndarray, widths) -> tuple[float, float]:
+    """Miss rate and mean width of one method's sets on a test set.
+
+    ``covered[t]`` says whether test label t lies in its set and ``widths``
+    holds the set widths, or one value shared by every set.
+    """
+    if covered.size == 0:
+        raise ValueError("test set must be nonempty")
+    return float(np.mean(~covered)), float(np.mean(widths))
+
+
+def _interval_cover(
     lower: np.ndarray, upper: np.ndarray, y: np.ndarray
-) -> tuple[float, float]:
-    """Miss rate and mean width of the intervals [lower, upper] at labels y.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Coverage and widths of the intervals [lower, upper] at labels y.
 
     A crossed pair (lower > upper) is the empty set: it misses and has
     width 0. Infinite endpoints give the whole line or a half-line.
     """
-    if y.size == 0:
-        raise ValueError("test set must be nonempty")
-    covered = (y >= lower) & (y <= upper)
-    return float(np.mean(~covered)), float(np.mean(np.maximum(upper - lower, 0.0)))
+    return (y >= lower) & (y <= upper), np.maximum(upper - lower, 0.0)
 
 
 class _RidgeTrial:
@@ -229,12 +249,11 @@ class _RidgeTrial:
         n1 = len(self.backend.y) - n0
         k = order_stat_index(n1, self.alpha)
         if k > n1:
-            return 0.0, math.inf
+            return _score(np.ones(len(self.test), dtype=bool), math.inf)
         holdout_pred, test_pred = self.backend.prefix_fit(n0)
         residuals = np.abs(self.backend.y[n0:] - holdout_pred)
         radius = kth_smallest(residuals, k)
-        miss = float(np.mean(np.abs(self.test.y - test_pred) > radius))
-        return miss, 2.0 * radius
+        return _score(np.abs(self.test.y - test_pred) <= radius, 2.0 * radius)
 
     def jackknife(self) -> tuple[float, float]:
         n = len(self.backend.y)
@@ -242,12 +261,16 @@ class _RidgeTrial:
 
     def cv(self, folds: FoldPartition) -> tuple[float, float]:
         lower, upper = plus_bounds(*self.backend.leave_folds_out(folds), self.alpha)
-        return _score(lower, upper, self.test.y)
+        return _score(*_interval_cover(lower, upper, self.test.y))
 
     def full_conformal(self) -> tuple[float, float]:
+        """Membership by the set's definition; the sets themselves only
+        when every one is bounded, for their widths."""
+        covered = self.backend.conformal_members(self.alpha, self.test.y)
+        if covered is not None:
+            return _score(covered, math.inf)
         sets = self.backend.conformal_sets(self.alpha)
-        miss = float(np.mean(~sets.contains(self.test.y)))
-        return miss, float(np.mean(sets.widths()))
+        return _score(sets.contains(self.test.y), sets.widths())
 
 
 def _ridge_trial(config: ExperimentConfig, trial: int) -> list[TrialRecord]:
@@ -317,7 +340,8 @@ def _adversary_trial(
     else:
         method = METHOD_JACKKNIFE
         lower, upper = adversary_jackknife_bounds(train, clock, config.alpha, test.x)
-    return [_record(config, trial, method, *_score(lower, upper, test.y), events)]
+    scores = _score(*_interval_cover(lower, upper, test.y))
+    return [_record(config, trial, method, *scores, events)]
 
 
 @single_threaded

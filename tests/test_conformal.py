@@ -27,7 +27,9 @@ from coverkit import (
 import coverkit.conformal
 from coverkit.conformal import (
     _crossings,
+    _members,
     _swept_sets,
+    _unbounded_rows,
     affine_conformal_sets,
     default_grid,
 )
@@ -368,6 +370,47 @@ def _interval_or_swept_rows(draw):
     return a, -s[:, None] * big_b, -s * pred, s, alpha
 
 
+def _labels_around_crossings(lows, highs):
+    """(m, 2n + 1) labels: one inside each gap between a row's distinct
+    finite crossings and one beyond each end, so every piece of the sweep
+    gets a label; 0.37 where a row has fewer gaps."""
+    roots = np.concatenate([lows, highs], axis=1)
+    roots = np.sort(np.where(np.isfinite(roots), roots, np.nan), axis=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # rows with no finite crossing
+        first, last = np.nanmin(roots, axis=1), np.nanmax(roots, axis=1)
+    gaps = np.where(roots[:, 1:] > roots[:, :-1], roots[:, :-1] / 2 + roots[:, 1:] / 2, np.nan)
+    ends = (first - 1 - np.abs(first))[:, None], (last + 1 + np.abs(last))[:, None]
+    labels = np.concatenate([ends[0], gaps, ends[1]], axis=1)
+    return np.where(np.isfinite(labels), labels, 0.37)
+
+
+def _count_against_sweep(a, b, a0, b0, alpha) -> tuple[int, int]:
+    """Check ``_unbounded_rows`` and ``_members`` against the swept sets;
+    returns the labels excluded as near a crossing and the labels checked.
+
+    A label is near a crossing when some training residual equals its own
+    to 1e-9 relative. The two are then within rounding however far the
+    crossing lies: |1.7e-124 + y| and |y| compare equal for every |y| > 1e-107.
+    Identical lines give equal residuals exactly and never under-cut.
+    """
+    k = order_stat_index(a.shape[1], alpha)
+    batch = affine_conformal_sets(a, b, a0, b0, alpha)
+    assert np.array_equal(_unbounded_rows(a, b, a0, b0, k), np.isinf(batch.widths()))
+    a0_col, b0_col = a0[:, None], b0[:, None]
+    identical = ((a == a0_col) & (b == b0_col)) | ((a == -a0_col) & (b == -b0_col))
+    checked = excluded = 0
+    for y in _labels_around_crossings(*_crossings(a, b, a0, b0)[:2]).T:
+        with np.errstate(over="ignore", invalid="ignore"):  # labels near 1e308
+            terms = np.abs(a) + np.abs(b * y[:, None]) + np.abs(a0_col) + np.abs(b0 * y)[:, None]
+            apart = np.abs(np.abs(a + b * y[:, None]) - np.abs(a0 + b0 * y)[:, None])
+            away = ((apart > 1e-9 * terms) | identical).all(axis=1)
+            inside = _members(a, b, a0, b0, y, k)
+        assert np.array_equal(inside[away], batch.contains(y)[away])
+        checked, excluded = checked + y.size, excluded + np.count_nonzero(~away)
+    return excluded, checked
+
+
 class TestAffineSweep:
     """The batched exact sweep behind both full-conformal ridge paths."""
 
@@ -405,6 +448,24 @@ class TestAffineSweep:
             gap = np.abs(y[:, None] - ends[None, :]).min(axis=1, initial=np.inf)
             away = gap > 1e-6 * np.maximum(1.0, np.abs(y))
             assert np.array_equal(pset.contains(y)[away], member[away])
+
+    @settings(max_examples=300, deadline=None)
+    @given(_affine_rows())
+    @example((np.zeros((2, 3)), np.zeros((2, 3)), np.zeros(2), np.zeros(2), 0.5))
+    @example((np.ones((3, 5)), np.ones((3, 5)), np.zeros(3), np.ones(3), 0.01))
+    @example(([[0.0], [1.7e-124]], [[0.0], [1.0]], [0.0, 0.0], [0.0, 1.0], 0.5))
+    def test_count_is_the_swept_set(self, problem):
+        # the trial's full-conformal scoring: membership as the under-cut
+        # count at the label, boundedness as the counts at +-inf
+        a, b, a0, b0, alpha = problem
+        _count_against_sweep(*map(np.asarray, (a, b, a0, b0)), alpha)
+
+    def test_count_excludes_few_labels(self):
+        rng = np.random.default_rng(5)
+        a, b = rng.standard_normal((2, 2000, 12))
+        a0, b0 = rng.standard_normal((2, 2000))
+        excluded, checked = _count_against_sweep(a, b, a0, b0, 0.3)
+        assert checked == 2000 * 25 and excluded <= 5
 
     def test_identical_lines_give_the_whole_line(self):
         a0, b0 = np.array([0.5]), np.array([2.0])

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from coverkit import Dataset, make_folds
 from coverkit.conformal import (
     cv_plus_bounds,
+    full_conformal_ridge_sets,
     jackknife_plus_bounds,
     split_conformal,
 )
@@ -23,6 +24,7 @@ from coverkit.experiments import (
     ExperimentConfig,
     TrialRecord,
     _RidgeTrial,
+    _interval_cover,
     _score,
     adversary_training_set,
     generate_linear_gaussian,
@@ -63,22 +65,23 @@ class TestDataGeneration:
 
 
 class TestEstimateMiscoverage:
-    """The interval scorer behind every engine and adversary method."""
+    """The scorer behind every engine and adversary method, on intervals."""
 
     def test_extremes(self):
         y = np.arange(4.0)
         whole_line = (np.full(4, -np.inf), np.full(4, np.inf))
-        assert _score(*whole_line, y) == (0.0, math.inf)
+        assert _score(*_interval_cover(*whole_line, y)) == (0.0, math.inf)
         crossed = (np.full(4, 1.0), np.full(4, -1.0))  # lower > upper: empty
-        assert _score(*crossed, y) == (1.0, 0.0)
+        assert _score(*_interval_cover(*crossed, y)) == (1.0, 0.0)
 
     def test_half(self):
         y = np.array([0.0, 0.0, 5.0, 5.0])
-        assert _score(np.full(4, -1.0), np.full(4, 1.0), y) == (0.5, 2.0)
+        intervals = (np.full(4, -1.0), np.full(4, 1.0))
+        assert _score(*_interval_cover(*intervals, y)) == (0.5, 2.0)
 
     def test_empty_test_rejected(self):
         with pytest.raises(ValueError):
-            _score(np.empty(0), np.empty(0), np.empty(0))
+            _score(*_interval_cover(np.empty(0), np.empty(0), np.empty(0)))
 
 
 class TestConfigValidation:
@@ -117,6 +120,24 @@ class TestConfigValidation:
             ExperimentConfig(
                 n=100, n_test=10, d=2, alpha=0.5, trials=1, master_seed=0, mode=mode
             )
+
+
+    @pytest.mark.parametrize("mode", [ADVERSARY_FULL, ADVERSARY_JK])
+    @pytest.mark.parametrize(
+        "knob", [{"methods": ("nonsense",)}, {"ridge_penalty": -1.0}, {"cv_folds": 7}]
+    )
+    def test_clock_modes_reject_ridge_only_fields(self, mode, knob):
+        # the clock trials read none of them, so a value other than the
+        # default could only be a mistake
+        with pytest.raises(ValueError, match="no effect in mode"):
+            ExperimentConfig(
+                n=100, n_test=10, d=1, alpha=0.5, trials=2, master_seed=0, mode=mode,
+                **knob,
+            )
+        ExperimentConfig(
+            n=100, n_test=10, d=1, alpha=0.5, trials=2, master_seed=0, mode=mode,
+            methods=list(ExperimentConfig.methods), ridge_penalty=1e-4, cv_folds=20,
+        )
 
 
 class TestEngineAgainstGenericConstructions:
@@ -177,6 +198,31 @@ class TestEngineAgainstGenericConstructions:
         ref_width = float(np.mean([s.total_width for s in sets]))
         assert miss == ref_miss
         assert width == pytest.approx(ref_width, rel=1e-8)
+
+
+class TestFullConformalScoring:
+    """The trial scores full conformal by the set's definition, and builds
+    sets only when all are bounded; the public exact sets are the oracle."""
+
+    @pytest.mark.parametrize(
+        "n, d, alpha, unbounded",
+        [(40, 10, 0.1, 0), (40, 30, 0.1, 1), (40, 40, 0.1, 287), (9, 12, 0.05, 300)],
+        ids=["d<n", "one-unbounded-row", "d=n", "rank-overflow"],
+    )
+    def test_matches_the_public_sets(self, n, d, alpha, unbounded):
+        # 300 test points: five chunks; the one unbounded row is in the last
+        rng = np.random.default_rng(n + d)
+        x, xt = rng.standard_normal((n, d)), rng.standard_normal((300, d))
+        beta = rng.standard_normal(d)
+        train = Dataset(x, x @ beta + rng.standard_normal(n))
+        test = Dataset(xt, xt @ beta + rng.standard_normal(300))
+        sets = full_conformal_ridge_sets(train, test.x, RidgeConfig(1e-4), alpha)
+        assert np.count_nonzero(np.isinf(sets.widths())) == unbounded
+        engine = _RidgeTrial(train, test, 1e-4, alpha)
+        covered = engine.backend.conformal_members(alpha, test.y)
+        assert (covered is None) == (unbounded == 0)
+        miss = float(np.mean(~sets.contains(test.y)))
+        assert engine.full_conformal() == (miss, float(np.mean(sets.widths())))
 
 
 @st.composite
