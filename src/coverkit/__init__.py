@@ -3,7 +3,7 @@ coverage: split/full conformal, jackknife+, cv+, PAC bound calculators,
 coverage-collapse counterexamples, and a reproducible simulation harness.
 """
 
-__version__ = "0.7.1"
+__version__ = "0.7.2"
 
 from .adversary import (
     EventReport,

@@ -81,8 +81,6 @@ class SplitConformal:
     radius: float
 
     def prediction_set(self, x) -> PredictionSet:
-        if math.isinf(self.radius):
-            return PredictionSet.real_line()
         return PredictionSet.centered(float(self.model(x)), self.radius)
 
 
@@ -255,9 +253,13 @@ def affine_conformal_sets(a, b, a0, b0, alpha: float) -> PredictionSetBatch:
     root]: two selections, no sort. Only the other rows are swept.
     """
     a = np.atleast_2d(a)
-    m, n = a.shape
-    k = order_stat_index(n, alpha)
-    lows, highs, under = _crossings(a, b, a0, b0)
+    k = order_stat_index(a.shape[1], alpha)
+    return _crossing_sets(*_crossings(a, b, a0, b0), k)
+
+
+def _crossing_sets(lows, highs, under, k: int) -> PredictionSetBatch:
+    """The sets of ``affine_conformal_sets`` from the crossings of ``_crossings``."""
+    m, n = under.shape
     # at rank overflow (k = n + 1) the sweep's count never exceeds k - 1
     interval = under.all(axis=1) & (k <= n)
     if interval.any():
@@ -308,29 +310,13 @@ def _crossings(a, b, a0, b0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return lows, np.maximum(r_minus, r_plus, out=d_plus), under
 
 
-def _unbounded_rows(a, b, a0, b0, k: int) -> np.ndarray:
-    """Rows of ``affine_conformal_sets`` whose set is unbounded, for any
-    1 <= k <= n + 1, from the under-cut counts at +-inf alone.
-
-    A set reaches +inf (or -inf) exactly when at most k - 1 comparisons
-    under-cut there. Comparison i under-cuts at both infinities where
-    |b_i| < |b0| and at neither where |b_i| > |b0|. Only the rows with a tie
-    |b_i| = |b0| take the roots and signs of ``_crossings``, and count as
-    the sweep does: a comparison changes state across each root it reaches.
-    """
-    m, n = b.shape
-    if k > n:
-        return np.ones(m, dtype=bool)
-    slope0, slopes = np.abs(b0)[:, None], np.abs(b)
-    unbounded = np.count_nonzero(slopes < slope0, axis=1) <= k - 1
-    ties = np.flatnonzero((slopes == slope0).any(axis=1))
-    if ties.size:
-        lows, highs, under = _crossings(a[ties], b[ties], a0[ties], b0[ties])
-        at_minus = under ^ (lows == -np.inf) ^ (highs == -np.inf)
-        at_plus = under ^ (lows < np.inf) ^ (highs < np.inf)
-        fewest = np.minimum(at_minus.sum(axis=1), at_plus.sum(axis=1))
-        unbounded[ties] = fewest <= k - 1
-    return unbounded
+def _unbounded(lows, highs, under, k: int) -> np.ndarray:
+    """Rows of ``_crossing_sets`` whose set is unbounded: at most k - 1
+    comparisons under-cut at +inf or at -inf, counted as the sweep counts,
+    across every root a comparison reaches there."""
+    at_minus = under ^ (lows == -np.inf) ^ (highs == -np.inf)
+    at_plus = under ^ (lows < np.inf) ^ (highs < np.inf)
+    return np.minimum(at_minus.sum(axis=1), at_plus.sum(axis=1)) <= k - 1
 
 
 def _members(a, b, a0, b0, y, k: int) -> np.ndarray:
@@ -562,23 +548,31 @@ class _RidgeBackend:
         """Exact full-conformal sets at every evaluation point."""
         return _sweep(self._coefficients, len(self.x_eval), alpha)
 
-    def conformal_members(self, alpha: float, y: np.ndarray) -> np.ndarray | None:
+    def conformal_scores(
+        self, alpha: float, y: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray | float]:
         """Whether y[t] lies in the exact full-conformal set of evaluation
-        point t, for every t; None when every set is bounded.
+        point t, for every t, and the set widths, or +inf once one set is
+        unbounded.
 
-        Boundedness is tested _SWEEP_ROWS rows at a time, up to the first
-        chunk with an unbounded set. The mean width is then +inf whatever
-        the other sets are, and membership is the count of the set's
-        definition, with no set built.
+        One pass, _SWEEP_ROWS rows at a time, each chunk's coefficients built
+        once. Membership is the count of the set's definition. Until a chunk
+        has an unbounded set, its crossings also give boundedness and the
+        widths of the sets built on them; after that no set is built.
         """
         k = order_stat_index(len(self.y), alpha)
-        m = len(self.x_eval)
-        chunks = [slice(lo, lo + _SWEEP_ROWS) for lo in range(0, m, _SWEEP_ROWS)]
-        if not any(_unbounded_rows(*self._coefficients(rows), k).any() for rows in chunks):
-            return None
-        return np.concatenate(
-            [_members(*self._coefficients(rows), y[rows], k) for rows in chunks]
-        )
+        covered, widths = [], []
+        for lo in range(0, len(self.x_eval), _SWEEP_ROWS):
+            rows = slice(lo, lo + _SWEEP_ROWS)
+            a, b, a0, b0 = self._coefficients(rows)
+            covered.append(_members(a, b, a0, b0, y[rows], k))
+            if widths is not None:
+                crossings = _crossings(a, b, a0, b0)
+                if _unbounded(*crossings, k).any():
+                    widths = None  # the mean width is +inf whatever the rest are
+                else:
+                    widths.append(_crossing_sets(*crossings, k).widths())
+        return np.concatenate(covered), math.inf if widths is None else np.concatenate(widths)
 
 
 def _eval_points(x, d: int, single: bool = False) -> np.ndarray:

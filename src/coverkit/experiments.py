@@ -8,12 +8,12 @@ Two trial modes:
   form when d < n and the dual form otherwise): split from sub-blocks of
   the Gram matrices, jackknife+ and cv+ through the exact leave-one-out and
   leave-fold-out downdates of the full-data fit, and full conformal through
-  the bordered-system closed form. Full conformal is scored by its
-  definition: a test label is covered when at most k - 1 training residuals
-  under-cut its own. Sets are built, for their widths, only when all are
-  bounded; otherwise the mean width is +inf. One scorer turns every
-  method's coverage and widths into its miss rate and mean width. This
-  module keeps only the draw, the scoring and the file formats.
+  the bordered-system closed form. Full conformal is scored in one pass
+  per chunk of test points: a label is covered when at most k - 1 training
+  residuals under-cut its own, and the chunk's crossings give its set
+  widths until one set is unbounded, when the mean width becomes +inf. One
+  scorer turns every method's coverage and widths into its miss rate and
+  mean width. This module keeps only the draw, the scoring and the files.
 * adversary demonstrations -- clock algorithms at scale, with per-trial
   event reports alongside the estimated miscoverage.
 
@@ -264,13 +264,7 @@ class _RidgeTrial:
         return _score(*_interval_cover(lower, upper, self.test.y))
 
     def full_conformal(self) -> tuple[float, float]:
-        """Membership by the set's definition; the sets themselves only
-        when every one is bounded, for their widths."""
-        covered = self.backend.conformal_members(self.alpha, self.test.y)
-        if covered is not None:
-            return _score(covered, math.inf)
-        sets = self.backend.conformal_sets(self.alpha)
-        return _score(sets.contains(self.test.y), sets.widths())
+        return _score(*self.backend.conformal_scores(self.alpha, self.test.y))
 
 
 def _ridge_trial(config: ExperimentConfig, trial: int) -> list[TrialRecord]:
@@ -355,9 +349,11 @@ def run_trials(config: ExperimentConfig, workers: int = 1) -> list[TrialRecord]:
     """Run all trials; deterministic given the config, whatever ``workers`` is.
 
     Worker processes only parallelize independent trials; records come back
-    ordered by (trial, method).
+    ordered by (trial, method). ``workers`` must be at least 1.
     """
-    if workers <= 1:
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    if workers == 1:
         nested = [_trial_worker(config, t) for t in range(config.trials)]
     else:
         # spawned workers: forking a process whose BLAS has running threads

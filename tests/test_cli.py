@@ -344,6 +344,20 @@ _BOTH_COMMANDS = pytest.mark.parametrize("argv", [
 ], ids=["simulate", "adversary"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", *TINY],
+    ["adversary", "--method", "jk", "--n", "100", "--trials", "2",
+     "--n-test", "10", "--alpha", "0.5"],
+], ids=["simulate", "adversary"])
+@pytest.mark.parametrize("workers", ["0", "-5"])
+def test_fewer_than_one_worker_exit_2(capsys, tmp_path, argv, workers):
+    code, _, err = _run(capsys, [*argv, "--workers", workers, "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "workers" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestFailedRuns:
     """A failed run changes nothing in the output directory."""
 

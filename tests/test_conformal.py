@@ -29,7 +29,7 @@ from coverkit.conformal import (
     _crossings,
     _members,
     _swept_sets,
-    _unbounded_rows,
+    _unbounded,
     affine_conformal_sets,
     default_grid,
 )
@@ -386,7 +386,7 @@ def _labels_around_crossings(lows, highs):
 
 
 def _count_against_sweep(a, b, a0, b0, alpha) -> tuple[int, int]:
-    """Check ``_unbounded_rows`` and ``_members`` against the swept sets;
+    """Check ``_unbounded`` and ``_members`` against the swept sets;
     returns the labels excluded as near a crossing and the labels checked.
 
     A label is near a crossing when some training residual equals its own
@@ -396,7 +396,7 @@ def _count_against_sweep(a, b, a0, b0, alpha) -> tuple[int, int]:
     """
     k = order_stat_index(a.shape[1], alpha)
     batch = affine_conformal_sets(a, b, a0, b0, alpha)
-    assert np.array_equal(_unbounded_rows(a, b, a0, b0, k), np.isinf(batch.widths()))
+    assert np.array_equal(_unbounded(*_crossings(a, b, a0, b0), k), np.isinf(batch.widths()))
     a0_col, b0_col = a0[:, None], b0[:, None]
     identical = ((a == a0_col) & (b == b0_col)) | ((a == -a0_col) & (b == -b0_col))
     checked = excluded = 0

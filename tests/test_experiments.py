@@ -201,15 +201,18 @@ class TestEngineAgainstGenericConstructions:
 
 
 class TestFullConformalScoring:
-    """The trial scores full conformal by the set's definition, and builds
-    sets only when all are bounded; the public exact sets are the oracle."""
+    """The trial scores full conformal in one pass per chunk: membership by
+    the set's definition, widths from sets built only until one is
+    unbounded; the public exact sets are the oracle."""
 
-    @pytest.mark.parametrize(
+    CASES = pytest.mark.parametrize(
         "n, d, alpha, unbounded",
         [(40, 10, 0.1, 0), (40, 30, 0.1, 1), (40, 40, 0.1, 287), (9, 12, 0.05, 300)],
         ids=["d<n", "one-unbounded-row", "d=n", "rank-overflow"],
     )
-    def test_matches_the_public_sets(self, n, d, alpha, unbounded):
+
+    @staticmethod
+    def _problem(n, d, alpha):
         # 300 test points: five chunks; the one unbounded row is in the last
         rng = np.random.default_rng(n + d)
         x, xt = rng.standard_normal((n, d)), rng.standard_normal((300, d))
@@ -217,12 +220,45 @@ class TestFullConformalScoring:
         train = Dataset(x, x @ beta + rng.standard_normal(n))
         test = Dataset(xt, xt @ beta + rng.standard_normal(300))
         sets = full_conformal_ridge_sets(train, test.x, RidgeConfig(1e-4), alpha)
-        assert np.count_nonzero(np.isinf(sets.widths())) == unbounded
-        engine = _RidgeTrial(train, test, 1e-4, alpha)
-        covered = engine.backend.conformal_members(alpha, test.y)
-        assert (covered is None) == (unbounded == 0)
-        miss = float(np.mean(~sets.contains(test.y)))
-        assert engine.full_conformal() == (miss, float(np.mean(sets.widths())))
+        return _RidgeTrial(train, test, 1e-4, alpha), sets
+
+    @CASES
+    def test_matches_the_public_sets(self, n, d, alpha, unbounded):
+        engine, sets = self._problem(n, d, alpha)
+        inside, set_widths = sets.contains(engine.test.y), sets.widths()
+        assert np.count_nonzero(np.isinf(set_widths)) == unbounded
+        covered, widths = engine.backend.conformal_scores(alpha, engine.test.y)
+        assert np.array_equal(covered, inside)
+        if unbounded:
+            assert widths == math.inf
+        else:
+            assert np.array_equal(widths, set_widths)
+        miss = float(np.mean(~inside))
+        assert engine.full_conformal() == (miss, float(np.mean(set_widths)))
+
+    @CASES
+    def test_one_pass_per_chunk(self, monkeypatch, n, d, alpha, unbounded):
+        import coverkit.conformal as conformal
+
+        engine, sets = self._problem(n, d, alpha)
+        chunks = math.ceil(300 / conformal._SWEEP_ROWS)
+        unbounded_rows = np.flatnonzero(np.isinf(sets.widths()))
+        first_unbounded = unbounded_rows[0] // conformal._SWEEP_ROWS if unbounded else chunks
+        calls = {"coefficients": 0, "sets": 0}
+        coefficients, crossing_sets = conformal._RidgeBackend._coefficients, conformal._crossing_sets
+
+        def counted_coefficients(backend, rows):
+            calls["coefficients"] += 1
+            return coefficients(backend, rows)
+
+        def counted_sets(*args):
+            calls["sets"] += 1
+            return crossing_sets(*args)
+
+        monkeypatch.setattr(conformal._RidgeBackend, "_coefficients", counted_coefficients)
+        monkeypatch.setattr(conformal, "_crossing_sets", counted_sets)
+        engine.full_conformal()
+        assert calls == {"coefficients": chunks, "sets": first_unbounded}
 
 
 @st.composite
@@ -333,6 +369,11 @@ class TestRunTrials:
             n=20, n_test=50, d=4, alpha=0.1, trials=4, master_seed=3, cv_folds=4
         )
         assert run_trials(small, workers=1) == run_trials(small, workers=2)
+
+    @pytest.mark.parametrize("workers", [0, -5])
+    def test_fewer_than_one_worker_raises(self, workers):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            run_trials(SMOKE, workers=workers)
 
     def test_adversary_mode_carries_events(self):
         config = ExperimentConfig(
